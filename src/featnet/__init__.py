@@ -1,5 +1,8 @@
 """Correlation-network feature selection for labeled categorical datasets."""
 
+# the single version literal; pyproject.toml reads it statically
+__version__ = "0.1.0"
+
 from .community import CommunityPartition, louvain, modularity
 from .correlation import (
     CorrelationMatrix,
@@ -35,7 +38,6 @@ from .graph import (
     WeightedGraph,
     build_graph,
     degree_distribution,
-    degrees,
     estimate_gamma,
     find_hubs,
     maximum_spanning_tree,
@@ -50,8 +52,6 @@ from .pipeline import (
     select_connected_hubs,
     stability_check,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CommunityPartition",
@@ -75,7 +75,6 @@ __all__ = [
     "build_graph",
     "class_proportions",
     "degree_distribution",
-    "degrees",
     "estimate_gamma",
     "evaluate",
     "find_hubs",

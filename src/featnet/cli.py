@@ -6,7 +6,7 @@ Subcommands:
   stability  rerun hub extraction on random row subsets
   export     write correlation / distance / similarity matrices as CSV
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 partial failure
+Exit codes: 0 success, 1 usage error, 2 data or file error, 3 partial failure
 (at least one partition failed during analyze).
 """
 
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (FeatnetError, FileNotFoundError, ValueError) as exc:
+    except (FeatnetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -4,12 +4,21 @@ The three transforms chain together: rank correlation rho in [-1, 1], then
 distance d = sqrt(2 * (1 - rho)) in [0, 2], then similarity exp(-d) in
 [exp(-2), 1].  Each step is exposed separately so intermediate matrices can
 be exported and audited.
+
+Spearman is computed from one Gram matrix G = C.T @ C of the centered
+column ranks C, which serves both correlation modes.  The result is exact:
+tie-averaged ranks are half-integers and every column's mean is exactly
+(n+1)/2, so each centered value is a multiple of 1/2 and each product and
+partial sum a multiple of 1/4.  By Cauchy-Schwarz no partial sum exceeds
+n(n^2-1)/12 in magnitude, so every one is an exact float64 whatever order
+the matrix product sums in, for n up to about 3.0e5 rows; the literal
+formula's sum of squared rank differences, up to n(n^2-1)/3, is exact for n
+up to about 1.9e5.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,23 +55,15 @@ class SimilarityMatrix:
 def rank_transform(column) -> np.ndarray:
     """Fractional ranks (1-based); tied values share the average rank.
 
-    The ranks of an n-element column always sum to n*(n+1)/2 exactly: tie
-    averages are midpoints of integer runs, which are exact in binary.
+    A run of c tied values ending at sorted position e holds ranks
+    e-c+1..e, whose average e - (c-1)/2 is a half-integer, exact in binary.
+    The ranks of an n-element column therefore sum to n*(n+1)/2 exactly.
     """
     col = np.asarray(column, dtype=np.float64)
     if col.size == 0:
         raise TooFewRows("cannot rank an empty column")
-    order = np.argsort(col, kind="stable")
-    ranks = np.empty(col.size, dtype=np.float64)
-    i = 0
-    while i < col.size:
-        j = i
-        while j + 1 < col.size and col[order[j + 1]] == col[order[i]]:
-            j += 1
-        # positions i..j hold ranks i+1..j+1; ties get the run average
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    return ranks
+    _, run, counts = np.unique(col, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[run]
 
 
 def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> CorrelationMatrix:
@@ -71,7 +72,9 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
     tie_aware (default) computes the Pearson correlation of tie-averaged
     ranks, the standard tie-corrected Spearman.  literal_formula applies the
     classical 1 - 6*sum(d^2) / (n*(n^2-1)) to the same ranks; the two agree
-    when no ties are present.  Constant columns cannot be rank-correlated:
+    when no ties are present.  Both read the Gram matrix of centered ranks
+    (exact, see the module docstring): sum(d^2) for columns i, j is
+    G[i,i] + G[j,j] - 2*G[i,j].  Constant columns cannot be rank-correlated:
     their off-diagonal entries are set to 0 and the column is recorded in
     ``warnings`` instead of being dropped, so the feature set stays stable
     across data partitions.
@@ -85,27 +88,24 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
     if k < 2:
         raise ValueError(f"need at least 2 features to correlate, got {k}")
 
-    ranks = np.column_stack(
+    centered = np.column_stack(
         [rank_transform(table.rows[:, j]) for j in range(k)]
-    )
-    centered = ranks - ranks.mean(axis=0)
-    # fixed per-pair summation order keeps results reproducible
-    sum_sq = np.array([float(np.dot(centered[:, j], centered[:, j])) for j in range(k)])
+    ) - (n + 1) / 2.0
+    gram = centered.T @ centered
+    sum_sq = np.diag(gram)
     degenerate = sum_sq <= 0.0
 
-    values = np.eye(k, dtype=np.float64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if degenerate[i] or degenerate[j]:
-                rho = 0.0
-            elif mode == "tie_aware":
-                rho = float(np.dot(centered[:, i], centered[:, j])) / math.sqrt(
-                    sum_sq[i] * sum_sq[j]
-                )
-            else:
-                diff = ranks[:, i] - ranks[:, j]
-                rho = 1.0 - 6.0 * float(np.dot(diff, diff)) / (n * (n * n - 1.0))
-            values[i, j] = values[j, i] = min(1.0, max(-1.0, rho))
+    if mode == "tie_aware":
+        # constant columns are zeroed below; a unit scale keeps 0/0 out
+        scale = np.where(degenerate, 1.0, sum_sq)
+        values = gram / np.sqrt(np.outer(scale, scale))
+    else:
+        sum_d2 = sum_sq[:, None] + sum_sq[None, :] - 2.0 * gram
+        values = 1.0 - 6.0 * sum_d2 / (n * (n * n - 1.0))
+    np.clip(values, -1.0, 1.0, out=values)
+    values[degenerate, :] = 0.0
+    values[:, degenerate] = 0.0
+    np.fill_diagonal(values, 1.0)
 
     warnings = tuple(
         (table.feature_names[j], "constant column, correlations set to 0")

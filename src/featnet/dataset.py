@@ -13,7 +13,6 @@ import io
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -260,11 +259,3 @@ def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
     if not cells:
         raise ParseError("no data rows found", line=1)
     return names, cells
-
-
-def proportions_text(props: Mapping[int, tuple[int, float]]) -> str:
-    parts = [
-        f"{label}: {count} ({fraction:.4f})"
-        for label, (count, fraction) in sorted(props.items())
-    ]
-    return ", ".join(parts)

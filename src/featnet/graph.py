@@ -117,15 +117,6 @@ class SpanningTree:
     # deterministic but other optimal trees may exist
     provably_unique: bool
 
-    def neighbors(self, node: str) -> set[str]:
-        out = set()
-        for u, v, _ in self.edges:
-            if u == node:
-                out.add(v)
-            elif v == node:
-                out.add(u)
-        return out
-
 
 def _kruskal(g: WeightedGraph, maximize: bool) -> SpanningTree:
     ordered = []
@@ -165,11 +156,6 @@ def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
 
 def minimum_spanning_tree(g: WeightedGraph) -> SpanningTree:
     return _kruskal(g, maximize=False)
-
-
-def degrees(tree: SpanningTree) -> dict[str, int]:
-    """Per-node edge count; always sums to 2 * (|V| - 1) on a tree."""
-    return dict(tree.degree)
 
 
 @dataclass(frozen=True)

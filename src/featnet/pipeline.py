@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correlation, graph
+from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import FeatureTable, Partition, class_proportions, load_dataset, partition
 from .errors import DegenerateDistribution, FeatnetError
@@ -23,7 +23,6 @@ from .evaluation import EvalReport, FeatureSubsetSpec, GBTParams, evaluate
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 PARTITION_ORDER = ("all", "legitimate", "phishing")
 
@@ -51,6 +50,8 @@ class PipelineConfig:
         unknown = [p for p in self.partitions if p not in PARTITION_ORDER]
         if unknown:
             raise ValueError(f"unknown partitions: {unknown}")
+        if self.eval_n_seeds < 1:
+            raise ValueError(f"need at least 1 evaluation seed, got {self.eval_n_seeds}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -149,13 +150,19 @@ class PartitionArtifacts:
     hubs: "graph.HubReport"
 
 
+def _correlate(table: FeatureTable, cfg: PipelineConfig, name: str):
+    """Partition -> Spearman -> distance -> similarity, shared by analyze and export."""
+    part = partition(table, _SELECTORS[name])
+    corr = correlation.spearman_matrix(part, mode=cfg.correlation_mode)
+    dist = correlation.to_distance(corr)
+    return part, corr, dist, correlation.to_similarity(dist)
+
+
 def analyze_partition(
     table: FeatureTable, cfg: PipelineConfig, name: str
 ) -> PartitionArtifacts:
     """Run the network chain on one partition of the loaded table."""
-    part = partition(table, _SELECTORS[name])
-    corr = correlation.spearman_matrix(part, mode=cfg.correlation_mode)
-    sim = correlation.to_similarity(correlation.to_distance(corr))
+    part, corr, _, sim = _correlate(table, cfg, name)
     g = graph.build_graph(sim)
     communities = louvain(g)
     tree = graph.maximum_spanning_tree(g)
@@ -238,12 +245,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
                 communities=arts.communities.assignment, hubs=hub_features,
             )
             write_degree_distribution_csv(
-                graph.degree_distribution(arts.tree), part_dir / "degree_dist.csv"
+                arts.outcome.degree_distribution, part_dir / "degree_dist.csv"
             )
 
     manifest = RunManifest(
         schema_version=SCHEMA_VERSION,
-        tool_version=TOOL_VERSION,
+        tool_version=__version__,
         config=cfg.to_dict(),
         partitions=outcomes,
         errors=errors,
@@ -263,11 +270,8 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     classifier validation.
     """
     top = {n for n, d in tree.degree.items() if d > threshold + 1}
-    attached = {
-        n
-        for n, d in tree.degree.items()
-        if d == threshold + 1 and any(v in top for v in tree.neighbors(n))
-    }
+    near_top = {b for u, v, _ in tree.edges for a, b in ((u, v), (v, u)) if a in top}
+    attached = {n for n in near_top if tree.degree[n] == threshold + 1}
     return sorted(top) + sorted(attached)
 
 
@@ -399,10 +403,7 @@ def export_matrices(cfg: PipelineConfig) -> list[str]:
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
     written: list[str] = []
     for name in cfg.partitions:
-        part = partition(table, _SELECTORS[name])
-        corr = correlation.spearman_matrix(part, mode=cfg.correlation_mode)
-        dist = correlation.to_distance(corr)
-        sim = correlation.to_similarity(dist)
+        _, corr, dist, sim = _correlate(table, cfg, name)
         part_dir = Path(cfg.out_dir) / name
         part_dir.mkdir(parents=True, exist_ok=True)
         for label, matrix in (

@@ -103,3 +103,25 @@ def best_partition_exhaustive(nodes, edges):
         if q > best_q:
             best_q, best_assignment = q, assignment
     return best_q, best_assignment
+
+
+def spearman_exact(x, y):
+    """(tie_aware, literal_formula) Spearman of one column pair, in pure Python.
+
+    Centered tie-averaged ranks are half-integers, so every sum below is an
+    exact float: the results are the two formulas rounded once per
+    operation, clipped to [-1, 1].  A constant column correlates 0.
+    """
+    n = len(x)
+    mid = (n + 1) / 2.0
+    rx = [r - mid for r in rank_average_ties(x)]
+    ry = [r - mid for r in rank_average_ties(y)]
+    ss_x = sum(a * a for a in rx)
+    ss_y = sum(b * b for b in ry)
+    if ss_x == 0.0 or ss_y == 0.0:
+        return 0.0, 0.0
+    cov = sum(a * b for a, b in zip(rx, ry))
+    sum_d2 = sum((a - b) ** 2 for a, b in zip(rx, ry))
+    tie_aware = cov / math.sqrt(ss_x * ss_y)
+    literal = 1.0 - 6.0 * sum_d2 / (n * (n * n - 1.0))
+    return tuple(min(1.0, max(-1.0, rho)) for rho in (tie_aware, literal))

@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from featnet.cli import main
 
@@ -111,3 +113,70 @@ def test_bad_partition_name_is_usage_level_error(tmp_path, capsys):
         ["analyze", "--input", str(data), "--partitions", "bogus", "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+def test_input_directory_is_data_error(tmp_path, capsys):
+    code = main(["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_out_is_existing_file_is_data_error(tmp_path, capsys, command):
+    data = synthetic_csv(tmp_path / "data.csv")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    code = main([command, "--input", str(data), "--out", str(blocker)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-1"])
+def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
+    data = synthetic_csv(tmp_path / "data.csv")
+    code = main(["eval", "--input", str(data), "--n-seeds", n_seeds, "--rounds", "1"])
+    assert code == 2
+    assert "at least 1 evaluation seed" in capsys.readouterr().err
+
+
+_SMALL_INT = st.integers(min_value=-2, max_value=6)
+_FRACTION = st.sampled_from(["-0.5", "0", "0.05", "0.5", "0.9", "1", "1.5"])
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["analyze", "eval", "stability"]),
+    hub_threshold=_SMALL_INT,
+    n_seeds=st.integers(min_value=-1, max_value=2),
+    pca_components=_SMALL_INT,
+    train_fraction=_FRACTION,
+    max_depth=st.integers(min_value=-1, max_value=3),
+    rounds=st.integers(min_value=0, max_value=2),
+    fraction=_FRACTION,
+    n_subsamples=st.integers(min_value=-1, max_value=3),
+)
+def test_cli_argument_values_never_raise(
+    tmp_path, capsys, command, hub_threshold, n_seeds, pca_components,
+    train_fraction, max_depth, rounds, fraction, n_subsamples,
+):
+    data = tmp_path / "data.csv"
+    if not data.exists():
+        synthetic_csv(data)
+    argv = [command, "--input", str(data), "--hub-threshold", str(hub_threshold)]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "out")]
+    elif command == "eval":
+        argv += [
+            "--n-seeds", str(n_seeds),
+            "--pca-components", str(pca_components),
+            "--train-fraction", train_fraction,
+            "--max-depth", str(max_depth),
+            "--rounds", str(rounds),
+        ]
+    else:
+        argv += ["--fraction", fraction, "--n-subsamples", str(n_subsamples)]
+    assert main(argv) in {0, 1, 2, 3}

@@ -15,7 +15,7 @@ from featnet import (
 from featnet.correlation import write_matrix_csv
 from featnet.errors import TooFewRows
 
-from .oracles import spearman_rank_then_pearson
+from .oracles import spearman_exact, spearman_rank_then_pearson
 
 
 def make_table(columns: dict[str, list[int]]) -> FeatureTable:
@@ -205,6 +205,41 @@ def test_matrix_symmetry_and_bounds(rows):
     assert (d >= 0.0).all() and (d <= 2.0 + 1e-12).all()
     s = to_similarity(to_distance(m)).values
     assert (s >= math.exp(-2.0) - 1e-12).all() and (s <= 1.0).all()
+
+
+@st.composite
+def tables_with_derived_columns(draw):
+    """Random {-1, 0, 1} columns plus constant, duplicated and negated ones."""
+    n = draw(st.integers(min_value=2, max_value=120))
+    code = st.sampled_from([-1, 0, 1])
+    columns = draw(st.lists(st.lists(code, min_size=n, max_size=n), min_size=1, max_size=4))
+    for kind, value in draw(
+        st.lists(st.tuples(st.sampled_from(["constant", "duplicate", "negate"]), code), max_size=4)
+    ):
+        source = columns[value % len(columns)]
+        if kind == "constant":
+            columns.append([value] * n)
+        else:
+            columns.append([c if kind == "duplicate" else -c for c in source])
+    if len(columns) < 2:
+        columns.append([-c for c in columns[0]])
+    return FeatureTable(
+        feature_names=tuple(f"f{i}" for i in range(len(columns))),
+        rows=np.array(columns).T,
+        labels=np.ones(n, dtype=int),
+    )
+
+
+@given(tables_with_derived_columns())
+def test_spearman_equals_exact_oracle_bitwise(table):
+    cols = [table.rows[:, j].tolist() for j in range(table.n_features)]
+    tie_aware = spearman_matrix(table, mode="tie_aware").values
+    literal = spearman_matrix(table, mode="literal_formula").values
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            expected = spearman_exact(cols[i], cols[j])
+            assert (tie_aware[i, j], literal[i, j]) == expected
+            assert (tie_aware[j, i], literal[j, i]) == expected
 
 
 # --- distance / similarity --------------------------------------------------

@@ -9,7 +9,6 @@ from featnet import (
     WeightedGraph,
     build_graph,
     degree_distribution,
-    degrees,
     estimate_gamma,
     find_hubs,
     maximum_spanning_tree,
@@ -177,12 +176,12 @@ def star_tree(center, leaves):
 
 def test_degrees_path():
     tree = path_tree("A", "B", "C")
-    assert degrees(tree) == {"A": 1, "B": 2, "C": 1}
+    assert tree.degree == {"A": 1, "B": 2, "C": 1}
 
 
 def test_degrees_star():
     tree = star_tree("hub", ["a", "b", "c", "d"])
-    deg = degrees(tree)
+    deg = tree.degree
     assert deg["hub"] == 4
     assert all(deg[l] == 1 for l in "abcd")
 
