@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import FeatnetError
 from .evaluation import GBTParams
@@ -140,9 +141,10 @@ def _cmd_analyze(args) -> int:
                 print(f"  gamma[{method}]{marker} = {est['gamma']:.4f}")
             else:
                 print(f"  gamma[{method}]{marker}: {est['error']}")
+        # + 0.0 turns a rounded -0.0 (one community, Q about -1e-16) into 0.0
         print(
             f"  communities: {outcome.communities['count']}  "
-            f"modularity {outcome.communities['modularity']:.4f}"
+            f"modularity {round(outcome.communities['modularity'], 4) + 0.0:.4f}"
         )
     for name, message in manifest.errors.items():
         print(f"[{name}] FAILED: {message}", file=sys.stderr)
@@ -165,9 +167,8 @@ def _cmd_eval(args) -> int:
     )
     print(f"delta        : {comparison.delta:+.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(comparison.to_dict(), fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(comparison.to_dict(), indent=2) + "\n"
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -183,9 +184,8 @@ def _cmd_stability(args) -> int:
             f"pairwise: {entry['mean_pairwise_jaccard']:.3f}"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(report, indent=2) + "\n"
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"report written to {args.out}")
     return EXIT_OK
 

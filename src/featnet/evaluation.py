@@ -10,7 +10,7 @@ search works on integer bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,16 +29,6 @@ class GBTParams:
     reg_lambda: float = 1.0
     min_child_weight: float = 1.0
     n_bins: int = 256
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "reg_lambda": self.reg_lambda,
-            "min_child_weight": self.min_child_weight,
-            "n_bins": self.n_bins,
-        }
 
 
 class GradientBoostedTrees:
@@ -79,22 +69,33 @@ class GradientBoostedTrees:
         for _ in range(self.params.n_rounds):
             prob = _sigmoid(margin)
             self.loss_curve_.append(_log_loss(y, prob))
-            grad = prob - y
-            hess = prob * (1.0 - prob)
-            tree = self._grow_tree(binned, grad, hess)
+            tree, leaf_values = self._grow_tree(binned, prob - y, prob * (1.0 - prob))
             self.trees_.append(tree)
-            margin += self.params.learning_rate * self._predict_tree(tree, binned)
+            margin += self.params.learning_rate * leaf_values
         self.loss_curve_.append(_log_loss(y, _sigmoid(margin)))
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Route the distinct binned rows through all trees at once.
+
+        Each step moves every (tree, row) pair one level down.  The margin
+        then adds ``learning_rate * leaf value`` one tree at a time in tree
+        order, so every row gets the same sum as tree-by-tree prediction.
+        """
         if self.bin_edges_ is None:
             raise ValueError("classifier is not fitted")
-        binned = self._bin(np.asarray(X, dtype=np.float64))
+        binned, inverse = np.unique(
+            self._bin(np.asarray(X, dtype=np.float64)), axis=0, return_inverse=True
+        )
+        feat, thr, left, value, depth = _tree_arrays(self.trees_)
+        rows = np.arange(len(binned))
+        node = np.arange(len(self.trees_), dtype=np.int32)[:, None]  # roots; widens to all rows
+        for _ in range(depth):
+            node = left[node] + (binned[rows, feat[node]] > thr[node])
         margin = np.full(len(binned), self.base_score_)
-        for tree in self.trees_:
-            margin += self.params.learning_rate * self._predict_tree(tree, binned)
-        return _sigmoid(margin)
+        for tree_nodes in node:
+            margin += self.params.learning_rate * value[tree_nodes]
+        return _sigmoid(margin)[inverse.reshape(-1)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(np.int64)
@@ -118,63 +119,95 @@ class GradientBoostedTrees:
         return binned
 
     def _grow_tree(self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray):
-        lam = self.params.reg_lambda
-        mcw = self.params.min_child_weight
+        """Grow one tree level by level; return it and each row's leaf value.
 
-        def build(idx: np.ndarray, depth: int):
-            g_sum, h_sum = float(grad[idx].sum()), float(hess[idx].sum())
-            leaf = ("leaf", -g_sum / (h_sum + lam))
-            if depth >= self.params.max_depth or len(idx) < 2:
-                return leaf
-            parent_score = g_sum * g_sum / (h_sum + lam)
-            best_gain, best_feat, best_bin = EPS, -1, -1
-            for j, edges in enumerate(self.bin_edges_):
-                n_bins = len(edges) + 1
-                if n_bins < 2:
-                    continue
-                bg = np.bincount(binned[idx, j], weights=grad[idx], minlength=n_bins)
-                bh = np.bincount(binned[idx, j], weights=hess[idx], minlength=n_bins)
-                g_left = np.cumsum(bg)[:-1]
-                h_left = np.cumsum(bh)[:-1]
-                ok = (h_left >= mcw) & ((h_sum - h_left) >= mcw)
-                if not ok.any():
-                    continue
+        Each open node keeps its rows as an ascending index array.  One pair
+        of ``bincount`` calls over keys node·(d·B) + j·B + bin fills the
+        gradient and hessian histograms of a whole level.  It adds each bin's
+        rows in index order, so every histogram equals a per-node one bit for
+        bit.  Node sums stay numpy's pairwise ``grad[idx].sum()``; histogram
+        totals differ in the last bit.  Ties go to the first feature, then
+        the first bin; a split needs a gain above EPS.
+        """
+        lam, mcw = self.params.reg_lambda, self.params.min_child_weight
+        n, d = binned.shape
+        n_bins = np.array([len(edges) + 1 for edges in self.bin_edges_], dtype=np.int64)
+        width = int(n_bins.max(initial=1))
+        max_depth = max(self.params.max_depth, 0) if width > 1 else 0
+        keys = binned + np.arange(d) * width
+        unsplittable = np.arange(width - 1) >= (n_bins - 1)[:, None]
+        weights = (np.repeat(grad, d), np.repeat(hess, d))
+        leaf_values = np.empty(n)
+        nodes: list = [None]  # ("leaf", value) or (feature, bin, left id, right id)
+        level = [(0, np.arange(n))]
+        for depth in range(max_depth + 1):
+            level = [(i, idx, float(grad[idx].sum()), float(hess[idx].sum())) for i, idx in level]
+            grow = [node for node in level if len(node[1]) >= 2] if depth < max_depth else []
+            splits = {}
+            if grow:
+                m = len(grow)
+                owner = np.full(n, m)  # rows of other nodes land in a spare node m
+                for k, (_, idx, _, _) in enumerate(grow):
+                    owner[idx] = k
+                flat = (keys + (owner * (d * width))[:, None]).ravel()
+                g_left, h_left = (
+                    np.bincount(flat, weights=w, minlength=(m + 1) * d * width)
+                    .reshape(m + 1, d, width)[:m]
+                    .cumsum(axis=2)[:, :, :-1]
+                    for w in weights
+                )
+                g_sum, h_sum = np.array([node[2:] for node in grow]).T[:, :, None, None]
                 gain = (
                     g_left**2 / (h_left + lam)
                     + (g_sum - g_left) ** 2 / ((h_sum - h_left) + lam)
-                    - parent_score
+                    - g_sum * g_sum / (h_sum + lam)
                 )
-                gain[~ok] = -np.inf
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain, best_feat, best_bin = float(gain[b]), j, b
-            if best_feat < 0:
-                return leaf
-            mask = binned[idx, best_feat] <= best_bin
-            return (
-                "split",
-                best_feat,
-                best_bin,
-                build(idx[mask], depth + 1),
-                build(idx[~mask], depth + 1),
-            )
+                gain[~((h_left >= mcw) & ((h_sum - h_left) >= mcw)) | unsplittable] = -np.inf
+                # a NaN at a feature's first best bin drops that feature
+                feat_gain = gain.max(axis=2)
+                feat_gain[np.isnan(feat_gain)] = -np.inf
+                for k, (node_id, _, _, _) in enumerate(grow):
+                    j = int(feat_gain[k].argmax())
+                    if feat_gain[k, j] > EPS:
+                        splits[node_id] = (j, int(gain[k, j].argmax()))
+            next_level = []
+            for node_id, idx, g_sum, h_sum in level:
+                if node_id not in splits:
+                    nodes[node_id] = ("leaf", -g_sum / (h_sum + lam))
+                    leaf_values[idx] = nodes[node_id][1]
+                    continue
+                j, b = splits[node_id]
+                mask = binned[idx, j] <= b
+                nodes[node_id] = (j, b, len(nodes), len(nodes) + 1)
+                next_level += [(len(nodes), idx[mask]), (len(nodes) + 1, idx[~mask])]
+                nodes += [None, None]
+            level = next_level
+        # children come after their parent, so build the tuples back to front
+        for node_id in range(len(nodes) - 1, -1, -1):
+            if nodes[node_id][0] != "leaf":
+                j, b, lo, hi = nodes[node_id]
+                nodes[node_id] = ("split", j, b, nodes[lo], nodes[hi])
+        return nodes[0], leaf_values
 
-        return build(np.arange(len(grad)), 0)
 
-    def _predict_tree(self, tree, binned: np.ndarray) -> np.ndarray:
-        out = np.empty(len(binned))
+def _tree_arrays(trees: list[tuple]):
+    """Flatten tree tuples breadth-first into (feature, threshold, left, value).
 
-        def walk(node, idx):
-            if node[0] == "leaf":
-                out[idx] = node[1]
-                return
-            _, feat, threshold, left, right = node
-            mask = binned[idx, feat] <= threshold
-            walk(left, idx[mask])
-            walk(right, idx[~mask])
-
-        walk(tree, np.arange(len(binned)))
-        return out
+    Roots come first, in tree order.  A split's right child sits right after
+    its left child; a leaf is its own left child with an unreachable
+    threshold, so a row that reached it stays there.  Also returns the depth
+    of the deepest leaf.
+    """
+    nodes, columns, depth = list(trees), [], [0] * len(trees)
+    for i, node in enumerate(nodes):  # the loop also visits appended children
+        if node[0] == "leaf":
+            columns.append((0, np.iinfo(np.int32).max, i, node[1]))
+        else:
+            columns.append((node[1], node[2], len(nodes), 0.0))
+            nodes += node[3:]
+            depth += [depth[i] + 1] * 2
+    table = np.array(columns, dtype=np.float64).reshape(-1, 4)
+    return (*table[:, :3].T.astype(np.int32), table[:, 3], max(depth, default=0))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -238,8 +271,7 @@ class PowerIterationPCA:
                     f"{self.n_components} components requested"
                 )
             # sign convention: largest-|entry| coordinate is positive
-            lead = int(np.argmax(np.abs(vec)))
-            if vec[lead] < 0:
+            if vec[np.argmax(np.abs(vec))] < 0:
                 vec = -vec
             components.append(vec)
             eigenvalues.append(value)
@@ -257,18 +289,12 @@ class PowerIterationPCA:
             raise ValueError("PCA is not fitted")
         return (np.asarray(X, dtype=np.float64) - self.mean_) @ self.components_
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
     def _power_iterate(
         self, matrix: np.ndarray, previous: list[np.ndarray], rng: np.random.Generator
     ) -> np.ndarray:
-        d = matrix.shape[0]
-        vec = rng.standard_normal(d)
-        vec = self._orthonormalize(vec, previous)
+        vec = self._orthonormalize(rng.standard_normal(matrix.shape[0]), previous)
         for _ in range(self.max_iter):
-            nxt = matrix @ vec
-            nxt = self._orthonormalize(nxt, previous)
+            nxt = self._orthonormalize(matrix @ vec, previous)
             if min(np.linalg.norm(nxt - vec), np.linalg.norm(nxt + vec)) < self.tol:
                 return nxt
             vec = nxt
@@ -336,7 +362,7 @@ class EvalReport:
         return {
             "subset": self.subset.to_dict(),
             "split": {"train_fraction": self.train_fraction, "seed": self.seed},
-            "params": self.classifier_params.to_dict(),
+            "params": asdict(self.classifier_params),
             "accuracy": self.accuracy,
             "n_train": self.n_train,
             "n_test": self.n_test,
@@ -401,15 +427,14 @@ def evaluate(
     actual = y01[test_idx]
     accuracy = float((predicted == actual).mean())
 
-    per_class = {}
-    confusion = {}
+    per_class, confusion = {}, {}
     for label, name in ((0.0, "phishing"), (1.0, "legitimate")):
         mask = actual == label
         if mask.any():
             per_class[name] = float((predicted[mask] == label).mean())
         confusion[name] = {
-            "predicted_phishing": int(((actual == label) & (predicted == 0.0)).sum()),
-            "predicted_legitimate": int(((actual == label) & (predicted == 1.0)).sum()),
+            "predicted_phishing": int((mask & (predicted == 0.0)).sum()),
+            "predicted_legitimate": int((mask & (predicted == 1.0)).sum()),
         }
 
     return EvalReport(

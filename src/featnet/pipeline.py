@@ -10,6 +10,7 @@ and order-fixed, so rerunning a config reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -76,23 +77,6 @@ class PartitionOutcome:
     gamma: dict
     degree_distribution: list
 
-    def to_dict(self) -> dict:
-        return {
-            "partition": self.partition,
-            "n_rows": self.n_rows,
-            "class_counts": self.class_counts,
-            "warnings": self.warnings,
-            "tree": self.tree,
-            "hubs": self.hubs,
-            "communities": self.communities,
-            "gamma": self.gamma,
-            "degree_distribution": self.degree_distribution,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartitionOutcome":
-        return cls(**d)
-
 
 @dataclass
 class RunManifest:
@@ -103,30 +87,15 @@ class RunManifest:
     errors: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "partitions": [p.to_dict() for p in self.partitions],
-            "errors": self.errors,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            schema_version=d["schema_version"],
-            tool_version=d["tool_version"],
-            config=d["config"],
-            partitions=[PartitionOutcome.from_dict(p) for p in d["partitions"]],
-            errors=d["errors"],
-        )
-
-    @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls.from_dict(json.loads(text))
+        d = json.loads(text)
+        return cls(**{**d, "partitions": [PartitionOutcome(**p) for p in d["partitions"]]})
 
     def outcome(self, name: str) -> PartitionOutcome:
         for p in self.partitions:
@@ -257,7 +226,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     )
     if out_root is not None:
         out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+        # a reader sees the old manifest or the new one, never a partial file
+        tmp = out_root / f".manifest.json.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(manifest.to_json(), encoding="utf-8")
+            os.replace(tmp, out_root / "manifest.json")
+        finally:
+            tmp.unlink(missing_ok=True)
     return manifest
 
 

@@ -57,6 +57,20 @@ def test_analyze_single_partition(tmp_path, capsys):
     assert not (out / "all").exists()
 
 
+def test_single_community_modularity_prints_unsigned_zero(tmp_path, capsys):
+    # two features fall into one community, whose Q rounds to about -1e-16
+    data = synthetic_csv(tmp_path / "data.csv", k=2)
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", str(data), "--partitions", "all", "--out", str(out)])
+    assert code == 0
+    communities = json.loads((out / "manifest.json").read_text())["partitions"][0]["communities"]
+    assert communities["count"] == 1
+    assert -1e-12 < communities["modularity"] < 0.0  # the manifest keeps the raw value
+    printed = capsys.readouterr().out
+    assert "modularity 0.0000" in printed
+    assert "-0.0000" not in printed
+
+
 def test_eval_with_explicit_features(tmp_path, capsys):
     data = synthetic_csv(tmp_path / "data.csv", n=150, k=5, seed=9)
     report_path = tmp_path / "eval.json"

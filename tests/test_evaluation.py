@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from featnet import (
     FeatureSubsetSpec,
@@ -13,8 +14,11 @@ from featnet import (
     project_pca,
     train_gbt,
 )
+from featnet.dataset import LABEL_LEGITIMATE
 from featnet.errors import DegenerateLabels, RankDeficient
 from featnet.evaluation import stratified_split
+
+from .oracles import gbt_recursive
 
 
 # --- PCA ----------------------------------------------------------------------
@@ -150,6 +154,93 @@ def test_probabilities_in_unit_interval():
 def test_rejects_non_binary_labels():
     with pytest.raises(ValueError):
         train_gbt(np.zeros((4, 1)), np.array([0.0, 1.0, 2.0, 1.0]))
+
+
+def assert_matches_recursive_oracle(x_train, y_train, x_test, params):
+    try:
+        trees, loss_curve, predict_proba = gbt_recursive(x_train, y_train, params)
+    except ZeroDivisionError:  # reg_lambda = 0 and a leaf with zero hessian
+        with pytest.raises(ZeroDivisionError):
+            train_gbt(x_train, y_train, params)
+        return
+    model = train_gbt(x_train, y_train, params)
+    assert model.trees_ == trees
+    assert model.loss_curve_ == loss_curve
+    for data in (x_train, x_test):
+        assert np.array_equal(model.predict_proba(data), predict_proba(data))
+
+
+HUB_FEATURES = [
+    "SSLfinal_State",
+    "Shortining_Service",
+    "URL_Length",
+    "URL_of_Anchor",
+    "double_slash_redirecting",
+]
+
+
+@pytest.mark.parametrize("seed", [42, 45])
+@pytest.mark.parametrize("mode", ["hub", "pca"])
+def test_gbt_equals_recursive_oracle_on_reference(reference_table, mode, seed):
+    train, test = stratified_split(reference_table.labels, 0.8, seed)
+    raw = reference_table.rows.astype(np.float64)
+    if mode == "hub":
+        data = raw[:, [reference_table.feature_names.index(f) for f in HUB_FEATURES]]
+        x_train, x_test = data[train], data[test]
+    else:
+        pca = PowerIterationPCA(n_components=5, seed=seed).fit(raw[train])
+        x_train, x_test = pca.transform(raw[train]), pca.transform(raw[test])
+    y = (reference_table.labels == LABEL_LEGITIMATE).astype(np.float64)
+    assert_matches_recursive_oracle(x_train, y[train], x_test, GBTParams(n_rounds=8))
+
+
+def test_gbt_equals_recursive_oracle_with_quantile_bins():
+    # 300 distinct values per column exceed the default 256 bins
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(300, 3))
+    y = (X[:, 0] + rng.normal(scale=0.5, size=300) > 0).astype(np.float64)
+    assert_matches_recursive_oracle(X, y, rng.normal(size=(50, 3)), GBTParams(n_rounds=5))
+
+
+@st.composite
+def gbt_problems(draw):
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["codes", "constant", "duplicate", "continuous"]))
+        if kind == "constant":
+            columns.append(np.full(n, float(rng.integers(-1, 2))))
+        elif kind == "duplicate" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))].copy())
+        elif kind == "continuous":
+            columns.append(rng.normal(size=n))
+        else:
+            columns.append(rng.integers(-1, 2, size=n).astype(np.float64))
+    X = np.column_stack(columns) if columns else np.empty((n, 0))
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    params = GBTParams(
+        n_rounds=draw(st.integers(1, 4)),
+        learning_rate=draw(st.sampled_from([0.1, 0.7])),
+        max_depth=draw(st.integers(-1, 5)),
+        reg_lambda=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.05, 1.0, 1e9])),
+        n_bins=draw(st.sampled_from([2, 3, 256])),
+    )
+    return X, y, rng.normal(size=(5, X.shape[1])), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(gbt_problems())
+def test_gbt_equals_recursive_oracle_bitwise(problem):
+    # no columns, constant and duplicated columns, ties in gain across
+    # features, quantile bins, depth -1 to 5, a min_child_weight that blocks
+    # every split, n = 2; reg_lambda = min_child_weight = 0 yields 0/0 gains
+    # on empty bins
+    X, y, x_test, params = problem
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert_matches_recursive_oracle(X, y, x_test, params)
 
 
 # --- splits and evaluation ----------------------------------------------------

@@ -14,6 +14,7 @@ from featnet import (
     select_connected_hubs,
     stability_check,
 )
+from featnet import pipeline as pipeline_module
 from featnet.evaluation import GBTParams
 from featnet.pipeline import export_matrices
 
@@ -111,6 +112,28 @@ def test_reruns_are_byte_identical(tmp_path):
     assert snapshot.keys() == after.keys()
     for rel in snapshot:
         assert snapshot[rel] == after[rel], rel
+
+
+def test_manifest_is_replaced_atomically(tmp_path, monkeypatch):
+    data = synthetic_csv(tmp_path / "data.csv")
+    out = tmp_path / "out"
+    cfg = PipelineConfig(input_path=str(data), out_dir=str(out))
+    listing = ["all", "legitimate", "manifest.json", "phishing"]  # no temp file left
+    run_pipeline(cfg)
+    first = (out / "manifest.json").read_bytes()
+    run_pipeline(cfg)
+    assert (out / "manifest.json").read_bytes() == first
+    assert sorted(p.name for p in out.iterdir()) == listing
+
+    # a write that fails before the rename leaves the old manifest whole
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline_module.os, "replace", fail)
+    with pytest.raises(OSError):
+        run_pipeline(cfg)
+    assert (out / "manifest.json").read_bytes() == first
+    assert sorted(p.name for p in out.iterdir()) == listing
 
 
 def test_hub_csv_consistent_with_community_csv(tmp_path):
