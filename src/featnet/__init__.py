@@ -41,7 +41,6 @@ from .graph import (
     estimate_gamma,
     find_hubs,
     maximum_spanning_tree,
-    minimum_spanning_tree,
 )
 from .pipeline import (
     EvalComparison,
@@ -81,7 +80,6 @@ __all__ = [
     "load_dataset",
     "louvain",
     "maximum_spanning_tree",
-    "minimum_spanning_tree",
     "modularity",
     "partition",
     "project_pca",

@@ -62,7 +62,6 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="run the full network pipeline")
     common(analyze)
-    analyze.add_argument("--gamma-method", default="loglog_ols", choices=["loglog_ols", "mle"])
     analyze.add_argument("--out", required=True, help="output directory")
 
     evalp = sub.add_parser("eval", help="hub features vs PCA baseline")
@@ -105,8 +104,6 @@ def _config_from_args(args) -> PipelineConfig:
         hub_threshold=args.hub_threshold,
         out_dir=getattr(args, "out", None),
     )
-    if getattr(args, "gamma_method", None):
-        kwargs["gamma_method"] = args.gamma_method
     if args.command == "eval":
         kwargs.update(
             eval_features=tuple(f.strip() for f in args.features.split(","))
@@ -136,11 +133,10 @@ def _cmd_analyze(args) -> int:
                 f"    {hub['feature']:32s} degree {hub['degree']}  community {hub['community']}"
             )
         for method, est in outcome.gamma.items():
-            marker = " (selected)" if method == cfg.gamma_method else ""
             if "gamma" in est:
-                print(f"  gamma[{method}]{marker} = {est['gamma']:.4f}")
+                print(f"  gamma[{method}] = {est['gamma']:.4f}")
             else:
-                print(f"  gamma[{method}]{marker}: {est['error']}")
+                print(f"  gamma[{method}]: {est['error']}")
         # + 0.0 turns a rounded -0.0 (one community, Q about -1e-16) into 0.0
         print(
             f"  communities: {outcome.communities['count']}  "

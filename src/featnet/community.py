@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .errors import UncoveredNode
 from .graph import WeightedGraph
 
@@ -38,51 +40,55 @@ class CommunityPartition:
         return out
 
 
+def _sum_in_order(values: np.ndarray) -> float:
+    """0.0 + v0 + v1 + ... added left to right, as the builtin ``sum`` adds floats."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     """Weighted Newman-Girvan modularity of a node-to-community map.
 
     Q = (1/2m) * sum_ij [w_ij - k_i*k_j/2m] * delta(c_i, c_j), where k is
     node strength and 2m the total strength.  Assigning every node to one
-    community gives exactly 0; values lie in [-1, 1].
+    community gives exactly 0; values lie in [-1, 1].  Every sum runs in a
+    fixed order (a node's edges in edge order, then the edge terms of Q,
+    then its node-pair terms row by row), so Q is reproducible to the bit.
     """
     uncovered = [n for n in g.nodes if n not in assignment]
     if uncovered:
         raise UncoveredNode(f"no community for nodes: {uncovered}")
-    strength = {u: sum(g.adjacency[u].values()) for u in g.nodes}
-    two_m = sum(strength.values())
+    # bincount adds each node's incident edges in edge order
+    ends = np.column_stack((g.src, g.dst)).ravel()
+    strength = np.bincount(ends, weights=np.repeat(g.weight, 2), minlength=g.n_nodes)
+    two_m = _sum_in_order(strength)
     if two_m <= 0.0:
         raise ValueError("modularity needs positive total edge weight")
-    q = 0.0
-    for u, v, w in g.edges:
-        if assignment[u] == assignment[v]:
-            q += 2.0 * w  # each undirected edge appears twice in the ij sum
-    for u in g.nodes:
-        for v in g.nodes:
-            if assignment[u] == assignment[v]:
-                q -= strength[u] * strength[v] / two_m
-    return q / two_m
+    comm = np.array([assignment[n] for n in g.nodes])
+    # each undirected edge appears twice in the ij sum
+    edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
+    pair_terms = (strength[:, None] * strength[None, :] / two_m)[comm[:, None] == comm[None, :]]
+    return _sum_in_order(np.concatenate((edge_terms, -pair_terms))) / two_m
 
 
-def louvain(g: WeightedGraph, min_gain: float = DEFAULT_MIN_GAIN) -> CommunityPartition:
+def louvain(g: WeightedGraph) -> CommunityPartition:
     """Greedy modularity maximization with local moves and aggregation.
 
     Each node starts as its own community.  The local phase repeatedly moves
     nodes to the neighboring community with the largest modularity gain
-    (> min_gain); once no move helps, communities collapse into super-nodes
-    and the process repeats on the aggregated graph until stable.
+    (> DEFAULT_MIN_GAIN); once no move helps, communities collapse into
+    super-nodes and the process repeats on the aggregated graph until stable.
     """
     if g.n_nodes == 0:
         raise ValueError("cannot detect communities in an empty graph")
 
     # current level: integer nodes 0..n-1, edge list may contain self-loops
     n = g.n_nodes
-    index = {name: i for i, name in enumerate(g.nodes)}
-    edges = [(index[u], index[v], w) for u, v, w in g.edges]
+    edges = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
     membership = list(range(n))  # original node index -> current-level node
     levels = 0
 
     while True:
-        comm = _local_moves(n, edges, min_gain)
+        comm = _local_moves(n, edges)
         n_comm = len(set(comm))
         if n_comm == n:
             break
@@ -96,11 +102,11 @@ def louvain(g: WeightedGraph, min_gain: float = DEFAULT_MIN_GAIN) -> CommunityPa
 
     final = _renumber(membership)
     assignment = {name: final[i] for i, name in enumerate(g.nodes)}
-    q = modularity(g, assignment) if g.total_weight() > 0 else 0.0
+    q = modularity(g, assignment) if _sum_in_order(g.weight) > 0 else 0.0
     return CommunityPartition(assignment=assignment, modularity=q, levels=levels)
 
 
-def _local_moves(n: int, edges: list[tuple[int, int, float]], min_gain: float) -> list[int]:
+def _local_moves(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
     """One Louvain phase over integer nodes; returns the community of each node."""
     adjacency: list[dict[int, float]] = [{} for _ in range(n)]
     self_weight = [0.0] * n
@@ -135,7 +141,7 @@ def _local_moves(n: int, edges: list[tuple[int, int, float]], min_gain: float) -
                 gain = (links[c] - link_current) / m - strength[u] * (
                     comm_total[c] - comm_total[current]
                 ) / (2.0 * m * m)
-                if gain > min_gain and gain > best_gain:
+                if gain > DEFAULT_MIN_GAIN and gain > best_gain:
                     best, best_gain = c, gain
             comm_total[best] += strength[u]
             if best != current:

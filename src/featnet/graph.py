@@ -1,9 +1,13 @@
 """Weighted feature graphs: construction, maximum spanning tree, hubs, gamma.
 
-The spanning tree is extracted with Kruskal's algorithm over edges sorted by
-descending weight, using a disjoint-set forest for cycle detection.  Weight
-ties are broken by the lexicographic (min-name, max-name) endpoint pair so
-that repeated runs produce identical trees.
+A graph is its node names plus three edge arrays: ``src`` and ``dst`` hold
+positions in ``nodes`` and ``weight`` the edge weights.  Names are attached
+only where results leave the module (``edges``, spanning-tree edges and
+degrees).  The spanning tree comes from Kruskal's algorithm over edges
+sorted by descending weight, with an integer union-find list for cycle
+detection.  Weight ties are broken by the (lower, higher) rank of the
+endpoint names in sorted name order, which is the lexicographic
+(min-name, max-name) pair, so repeated runs produce identical trees.
 """
 
 from __future__ import annotations
@@ -28,28 +32,31 @@ class WeightedGraph:
 
     Node order is significant (community detection iterates it) and follows
     the order given at construction, which for similarity graphs is the
-    dataset column order.
+    dataset column order.  Edge i joins ``nodes[src[i]]`` and
+    ``nodes[dst[i]]`` with ``weight[i]``, in the order given.
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, float]]):
         self.nodes: tuple[str, ...] = tuple(nodes)
-        if len(set(self.nodes)) != len(self.nodes):
+        index = {name: i for i, name in enumerate(self.nodes)}
+        if len(index) != len(self.nodes):
             raise ValueError("duplicate node names")
-        known = set(self.nodes)
-        self.adjacency: dict[str, dict[str, float]] = {u: {} for u in self.nodes}
-        edge_list: list[tuple[str, str, float]] = []
+        ends: list[tuple[int, int]] = []
+        weight: list[float] = []
+        seen: set[tuple[int, int]] = set()
         for u, v, w in edges:
-            if u not in known or v not in known:
+            if u not in index or v not in index:
                 raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            if v in self.adjacency[u]:
+            i, j = index[u], index[v]
+            if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            w = float(w)
-            self.adjacency[u][v] = w
-            self.adjacency[v][u] = w
-            edge_list.append((u, v, w))
-        self.edges: tuple[tuple[str, str, float], ...] = tuple(edge_list)
+            seen.update(((i, j), (j, i)))
+            ends.append((i, j))
+            weight.append(float(w))
+        self.src, self.dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        self.weight = np.array(weight, dtype=np.float64)
 
     @property
     def n_nodes(self) -> int:
@@ -57,53 +64,27 @@ class WeightedGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.weight)
 
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges)
-
-    def is_complete(self) -> bool:
-        n = self.n_nodes
-        return self.n_edges == n * (n - 1) // 2
+    @property
+    def edges(self) -> tuple[tuple[str, str, float], ...]:
+        """Named ``(u, v, w)`` triples in edge order."""
+        names = self.nodes
+        return tuple(
+            (names[i], names[j], w)
+            for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
+        )
 
 
 def build_graph(sim: SimilarityMatrix) -> WeightedGraph:
     """Complete graph over the features; edge (i, j) carries sim[i][j]."""
-    names = sim.feature_names
-    k = len(names)
+    k = len(sim.feature_names)
     if k < 2:
         raise ValueError("need at least 2 features to build a graph")
-    edges = [
-        (names[i], names[j], float(sim.values[i, j]))
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    return WeightedGraph(names, edges)
-
-
-class DisjointSet:
-    """Union-find with path halving and union by size."""
-
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in self.parent}
-
-    def find(self, x: str) -> str:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+    g = WeightedGraph(sim.feature_names, ())
+    g.src, g.dst = np.triu_indices(k, 1)
+    g.weight = np.asarray(sim.values, dtype=np.float64)[g.src, g.dst]
+    return g
 
 
 @dataclass(frozen=True)
@@ -118,44 +99,44 @@ class SpanningTree:
     provably_unique: bool
 
 
-def _kruskal(g: WeightedGraph, maximize: bool) -> SpanningTree:
-    ordered = []
-    for u, v, w in g.edges:
-        a, b = (u, v) if u <= v else (v, u)
-        ordered.append((a, b, w))
-    sign = -1.0 if maximize else 1.0
-    ordered.sort(key=lambda e: (sign * e[2], e[0], e[1]))
-
-    dsu = DisjointSet(g.nodes)
-    chosen: list[tuple[str, str, float]] = []
-    for a, b, w in ordered:
-        if dsu.union(a, b):
-            chosen.append((a, b, w))
-            if len(chosen) == g.n_nodes - 1:
-                break
-    if len(chosen) != g.n_nodes - 1:
-        raise ValueError("graph is not connected; no spanning tree exists")
-    degree = {n: 0 for n in g.nodes}
-    for a, b, _ in chosen:
-        degree[a] += 1
-        degree[b] += 1
-    weights = [w for _, _, w in g.edges]
-    return SpanningTree(
-        nodes=g.nodes,
-        edges=tuple(chosen),
-        degree=degree,
-        total_weight=sum(w for _, _, w in chosen),
-        provably_unique=len(set(weights)) == len(weights),
-    )
-
-
 def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
     """Spanning tree of maximal total weight (deterministic under ties)."""
-    return _kruskal(g, maximize=True)
+    n = g.n_nodes
+    rank = np.empty(n, dtype=np.intp)
+    rank[sorted(range(n), key=g.nodes.__getitem__)] = np.arange(n)
+    lo = np.minimum(rank[g.src], rank[g.dst])
+    hi = np.maximum(rank[g.src], rank[g.dst])
+    order = np.lexsort((hi, lo, -g.weight))
+    ordered = g.weight[order]
+    by_rank = sorted(g.nodes)
 
-
-def minimum_spanning_tree(g: WeightedGraph) -> SpanningTree:
-    return _kruskal(g, maximize=False)
+    parent = list(range(n))
+    chosen: list[tuple[int, int, float]] = []
+    for a, b, w in zip(lo[order].tolist(), hi[order].tolist(), ordered.tolist()):
+        ra, rb = a, b
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        chosen.append((a, b, w))
+        if len(chosen) == n - 1:
+            break
+    if len(chosen) != n - 1:
+        raise ValueError("graph is not connected; no spanning tree exists")
+    degree = dict.fromkeys(g.nodes, 0)
+    for a, b, _ in chosen:
+        degree[by_rank[a]] += 1
+        degree[by_rank[b]] += 1
+    return SpanningTree(
+        nodes=g.nodes,
+        edges=tuple((by_rank[a], by_rank[b], w) for a, b, w in chosen),
+        degree=degree,
+        total_weight=sum(w for _, _, w in chosen),
+        provably_unique=bool(np.all(ordered[1:] != ordered[:-1])),
+    )
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,9 @@ SCHEMA_VERSION = 1
 
 PARTITION_ORDER = ("all", "legitimate", "phishing")
 
+# the files analyze writes in each partition directory
+ANALYZE_FILES = ("hubs.csv", "communities.csv", "mst.dot", "mst.graphml", "degree_dist.csv")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -34,7 +37,6 @@ class PipelineConfig:
     fmt: str = "auto"
     partitions: tuple[str, ...] = PARTITION_ORDER
     correlation_mode: str = "tie_aware"
-    gamma_method: str = "loglog_ols"
     hub_threshold: int = 2
     out_dir: str | None = None
     # evaluation settings
@@ -185,7 +187,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Analyze every configured partition and write exports if out_dir is set.
 
     A failure in one partition is recorded under ``errors`` and does not
-    abort the others.
+    abort the others.  Analyze outputs of an earlier run in partitions this
+    run did not write are removed, so the directory matches the manifest.
     """
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
     outcomes: list[PartitionOutcome] = []
@@ -202,19 +205,22 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
         if out_root is not None:
             part_dir = out_root / name
             part_dir.mkdir(parents=True, exist_ok=True)
+            hubs_csv, communities_csv, dot, graphml, dist_csv = (
+                part_dir / f for f in ANALYZE_FILES
+            )
             hub_features = arts.hubs.features()
-            write_hubs_csv(arts.hubs, part_dir / "hubs.csv")
-            write_communities_csv(arts.communities, part_dir / "communities.csv")
+            write_hubs_csv(arts.hubs, hubs_csv)
+            write_communities_csv(arts.communities, communities_csv)
             write_dot(
-                arts.tree, part_dir / "mst.dot",
+                arts.tree, dot,
                 communities=arts.communities.assignment, hubs=hub_features,
             )
             write_graphml(
-                arts.tree, part_dir / "mst.graphml",
+                arts.tree, graphml,
                 communities=arts.communities.assignment, hubs=hub_features,
             )
             write_degree_distribution_csv(
-                arts.outcome.degree_distribution, part_dir / "degree_dist.csv"
+                arts.outcome.degree_distribution, dist_csv
             )
 
     manifest = RunManifest(
@@ -225,6 +231,16 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
         errors=errors,
     )
     if out_root is not None:
+        written = {o.partition for o in outcomes}
+        for name in PARTITION_ORDER:
+            part_dir = out_root / name
+            if name in written or not part_dir.is_dir():
+                continue
+            # other files (export's matrices) stay, and so does their directory
+            for f in ANALYZE_FILES:
+                (part_dir / f).unlink(missing_ok=True)
+            if not any(part_dir.iterdir()):
+                part_dir.rmdir()
         out_root.mkdir(parents=True, exist_ok=True)
         # a reader sees the old manifest or the new one, never a partial file
         tmp = out_root / f".manifest.json.{os.getpid()}.tmp"

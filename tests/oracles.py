@@ -243,3 +243,166 @@ def gbt_recursive(X, y, params):
         return sigmoid(out)
 
     return trees, loss_curve, predict_proba
+
+
+class DictGraph:
+    """The dict-of-dicts weighted graph the package used before edge arrays."""
+
+    def __init__(self, nodes, edges):
+        self.nodes = tuple(nodes)
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError("duplicate node names")
+        self.adjacency = {u: {} for u in self.nodes}
+        edge_list = []
+        for u, v, w in edges:
+            if u not in self.adjacency or v not in self.adjacency:
+                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
+            if u == v:
+                raise ValueError(f"self-loop on {u!r}")
+            if v in self.adjacency[u]:
+                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+            w = float(w)
+            self.adjacency[u][v] = w
+            self.adjacency[v][u] = w
+            edge_list.append((u, v, w))
+        self.edges = tuple(edge_list)
+
+
+def kruskal_dict(g):
+    """Maximum spanning tree by name-keyed Kruskal with union by size.
+
+    Edges are sorted by (-weight, min-name, max-name).  Returns
+    (edges, degree, total_weight, provably_unique).
+    """
+    ordered = sorted(
+        ((min(u, v), max(u, v), w) for u, v, w in g.edges),
+        key=lambda e: (-1.0 * e[2], e[0], e[1]),
+    )
+    parent = {x: x for x in g.nodes}
+    size = {x: 1 for x in g.nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for a, b, w in ordered:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        size[ra] += size[rb]
+        chosen.append((a, b, w))
+        if len(chosen) == len(g.nodes) - 1:
+            break
+    if len(chosen) != len(g.nodes) - 1:
+        raise ValueError("graph is not connected; no spanning tree exists")
+    degree = {n: 0 for n in g.nodes}
+    for a, b, _ in chosen:
+        degree[a] += 1
+        degree[b] += 1
+    weights = [w for _, _, w in g.edges]
+    return (
+        tuple(chosen),
+        degree,
+        sum(w for _, _, w in chosen),
+        len(set(weights)) == len(weights),
+    )
+
+
+def modularity_dict(g, assignment):
+    """Q summed in the package's order: strengths, edge terms, then node pairs."""
+    strength = {u: sum(g.adjacency[u].values()) for u in g.nodes}
+    two_m = sum(strength.values())
+    if two_m <= 0.0:
+        raise ValueError("modularity needs positive total edge weight")
+    q = 0.0
+    for u, v, w in g.edges:
+        if assignment[u] == assignment[v]:
+            q += 2.0 * w
+    for u in g.nodes:
+        for v in g.nodes:
+            if assignment[u] == assignment[v]:
+                q -= strength[u] * strength[v] / two_m
+    return q / two_m
+
+
+def louvain_dict(g, min_gain=1e-9):
+    """Louvain with local moves in node order and smallest-id tie-breaks.
+
+    Returns (assignment, modularity, levels).
+    """
+    index = {name: i for i, name in enumerate(g.nodes)}
+    edges = [(index[u], index[v], w) for u, v, w in g.edges]
+    n = len(g.nodes)
+    membership = list(range(n))
+    levels = 0
+    while True:
+        comm = _louvain_local_moves(n, edges, min_gain)
+        n_comm = len(set(comm))
+        if n_comm == n:
+            break
+        comm = _first_seen_ids(comm)
+        membership = [comm[c] for c in membership]
+        acc = {}
+        for u, v, w in edges:
+            key = tuple(sorted((comm[u], comm[v])))
+            acc[key] = acc.get(key, 0.0) + w
+        edges = [(u, v, w) for (u, v), w in sorted(acc.items())]
+        n = n_comm
+        levels += 1
+        if n == 1:
+            break
+    final = _first_seen_ids(membership)
+    assignment = {name: final[i] for i, name in enumerate(g.nodes)}
+    total = sum(w for _, _, w in g.edges)
+    q = modularity_dict(g, assignment) if total > 0 else 0.0
+    return assignment, q, levels
+
+
+def _first_seen_ids(comm):
+    mapping = {}
+    return [mapping.setdefault(c, len(mapping)) for c in comm]
+
+
+def _louvain_local_moves(n, edges, min_gain):
+    adjacency = [{} for _ in range(n)]
+    self_weight = [0.0] * n
+    for u, v, w in edges:
+        if u == v:
+            self_weight[u] += w
+        else:
+            adjacency[u][v] = adjacency[u].get(v, 0.0) + w
+            adjacency[v][u] = adjacency[v].get(u, 0.0) + w
+    strength = [sum(adjacency[u].values()) + 2.0 * self_weight[u] for u in range(n)]
+    m = sum(strength) / 2.0
+    comm = list(range(n))
+    if m <= 0.0:
+        return comm
+    comm_total = strength.copy()
+    improved = True
+    while improved:
+        improved = False
+        for u in range(n):
+            current = comm[u]
+            links = {}
+            for v, w in adjacency[u].items():
+                links[comm[v]] = links.get(comm[v], 0.0) + w
+            comm_total[current] -= strength[u]
+            link_current = links.get(current, 0.0)
+            best, best_gain = current, 0.0
+            for c in sorted(links):
+                gain = (links[c] - link_current) / m - strength[u] * (
+                    comm_total[c] - comm_total[current]
+                ) / (2.0 * m * m)
+                if gain > min_gain and gain > best_gain:
+                    best, best_gain = c, gain
+            comm_total[best] += strength[u]
+            if best != current:
+                comm[u] = best
+                improved = True
+    return comm

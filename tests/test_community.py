@@ -177,18 +177,21 @@ def test_local_move_gain_formula_is_exact():
         g = random_graph(rng, int(rng.integers(3, 9)), edge_prob=0.8)
         comm = {x: int(rng.integers(0, 3)) for x in g.nodes}
         u = g.nodes[int(rng.integers(0, len(g.nodes)))]
-        neighbor_comms = sorted({comm[v] for v in g.adjacency[u]})
+        adjacency: dict[str, dict[str, float]] = {x: {} for x in g.nodes}
+        for a, b, w in g.edges:
+            adjacency[a][b] = adjacency[b][a] = w
+        neighbor_comms = sorted({comm[v] for v in adjacency[u]})
         if not neighbor_comms:
             continue
         target = neighbor_comms[int(rng.integers(0, len(neighbor_comms)))]
 
-        strength = {x: sum(g.adjacency[x].values()) for x in g.nodes}
+        strength = {x: sum(adjacency[x].values()) for x in g.nodes}
         m = sum(strength.values()) / 2.0
         tot: dict[int, float] = {}
         for x in g.nodes:
             tot[comm[x]] = tot.get(comm[x], 0.0) + strength[x]
         links: dict[int, float] = {}
-        for v, w in g.adjacency[u].items():
+        for v, w in adjacency[u].items():
             links[comm[v]] = links.get(comm[v], 0.0) + w
         current = comm[u]
         gain = (

@@ -136,6 +136,37 @@ def test_manifest_is_replaced_atomically(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == listing
 
 
+def test_rerun_removes_stale_partition_outputs(tmp_path):
+    data = synthetic_csv(tmp_path / "data.csv")
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(input_path=str(data), out_dir=str(out)))
+    export_matrices(
+        PipelineConfig(input_path=str(data), partitions=("legitimate",), out_dir=str(out))
+    )
+    (out / "notes.txt").write_text("kept\n")
+
+    manifest = run_pipeline(
+        PipelineConfig(input_path=str(data), partitions=("all",), out_dir=str(out))
+    )
+    assert [p.partition for p in manifest.partitions] == ["all"]
+    # phishing held only analyze outputs; legitimate keeps export's matrices
+    assert sorted(p.name for p in out.iterdir()) == [
+        "all", "legitimate", "manifest.json", "notes.txt"
+    ]
+    assert sorted(p.name for p in (out / "legitimate").iterdir()) == [
+        "correlation.csv", "distance.csv", "similarity.csv"
+    ]
+    assert sorted(p.name for p in (out / "all").iterdir()) == sorted(
+        pipeline_module.ANALYZE_FILES
+    )
+
+    # a partition that fails on rerun loses its old outputs too
+    single = synthetic_csv(tmp_path / "single.csv", single_class=True)
+    manifest = run_pipeline(PipelineConfig(input_path=str(single), out_dir=str(out)))
+    assert "phishing" in manifest.errors
+    assert not (out / "phishing").exists()
+
+
 def test_hub_csv_consistent_with_community_csv(tmp_path):
     data = synthetic_csv(tmp_path / "data.csv", n=80, k=6, seed=11)
     out = tmp_path / "out"
