@@ -28,7 +28,6 @@ from .evaluation import (
     GradientBoostedTrees,
     PowerIterationPCA,
     evaluate,
-    project_pca,
     train_gbt,
 )
 from .graph import (
@@ -82,7 +81,6 @@ __all__ = [
     "maximum_spanning_tree",
     "modularity",
     "partition",
-    "project_pca",
     "rank_transform",
     "run_eval",
     "run_pipeline",

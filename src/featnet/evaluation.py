@@ -47,6 +47,7 @@ class GradientBoostedTrees:
         self.trees_: list[tuple] = []
         self.base_score_: float = 0.0
         self.loss_curve_: list[float] = []
+        self._flat_trees: tuple | None = None  # _tree_arrays(trees_), set by fit
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
         X = np.asarray(X, dtype=np.float64)
@@ -73,6 +74,7 @@ class GradientBoostedTrees:
             self.trees_.append(tree)
             margin += self.params.learning_rate * leaf_values
         self.loss_curve_.append(_log_loss(y, _sigmoid(margin)))
+        self._flat_trees = _tree_arrays(self.trees_)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -87,7 +89,7 @@ class GradientBoostedTrees:
         binned, inverse = np.unique(
             self._bin(np.asarray(X, dtype=np.float64)), axis=0, return_inverse=True
         )
-        feat, thr, left, value, depth = _tree_arrays(self.trees_)
+        feat, thr, left, value, depth = self._flat_trees
         rows = np.arange(len(binned))
         node = np.arange(len(self.trees_), dtype=np.int32)[:, None]  # roots; widens to all rows
         for _ in range(depth):
@@ -224,21 +226,18 @@ def train_gbt(X: np.ndarray, y: np.ndarray, params: GBTParams | None = None) -> 
 
 
 class PowerIterationPCA:
-    """Principal components via power iteration with deflation.
+    """Principal components from one exact eigendecomposition.
 
-    The covariance matrix of the mean-centered data is decomposed one
-    eigenvector at a time: power-iterate, re-orthogonalize against the
-    components already found (Gram-Schmidt), deflate, repeat.  Start vectors
-    come from a seeded generator so a given seed always yields the same
-    components; each component is sign-normalized so its largest-magnitude
-    entry is positive.
+    The covariance matrix of the mean-centered data is decomposed with
+    ``np.linalg.eigh``; the top ``n_components`` eigenvectors, in descending
+    eigenvalue order, are the components.  Each component is sign-normalized
+    so its largest-magnitude entry is positive.  ``seed`` is kept for
+    callers and has no effect: the decomposition is deterministic.
     """
 
-    def __init__(self, n_components: int, seed: int = 0, tol: float = 1e-10, max_iter: int = 10000):
+    def __init__(self, n_components: int, seed: int = 0):
         self.n_components = n_components
         self.seed = seed
-        self.tol = tol
-        self.max_iter = max_iter
         self.mean_: np.ndarray | None = None
         self.components_: np.ndarray | None = None  # (d, k) orthonormal columns
         self.explained_variance_: np.ndarray | None = None
@@ -258,29 +257,21 @@ class PowerIterationPCA:
         cov = centered.T @ centered / (n - 1)
         total_var = float(np.trace(cov))
 
-        rng = np.random.default_rng(self.seed)
-        components: list[np.ndarray] = []
-        eigenvalues: list[float] = []
-        work = cov.copy()
-        for _ in range(self.n_components):
-            vec = self._power_iterate(work, components, rng)
-            value = float(vec @ work @ vec)
-            if value <= max(self.tol, self.tol * (eigenvalues[0] if eigenvalues else 1.0)):
-                raise RankDeficient(
-                    f"only {len(components)} nonzero eigenvalues, "
-                    f"{self.n_components} components requested"
-                )
-            # sign convention: largest-|entry| coordinate is positive
-            if vec[np.argmax(np.abs(vec))] < 0:
-                vec = -vec
-            components.append(vec)
-            eigenvalues.append(value)
-            work = work - value * np.outer(vec, vec)
-
-        self.components_ = np.column_stack(components)
-        self.explained_variance_ = np.array(eigenvalues)
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        values = eigenvalues[::-1][: self.n_components]
+        vectors = eigenvectors[:, ::-1][:, : self.n_components]
+        nonzero = int((values > 1e-10 * max(1.0, values[0])).sum())
+        if nonzero < self.n_components:
+            raise RankDeficient(
+                f"only {nonzero} nonzero eigenvalues, "
+                f"{self.n_components} components requested"
+            )
+        # sign convention: largest-|entry| coordinate is positive
+        top = np.abs(vectors).argmax(axis=0)
+        self.components_ = vectors * np.sign(vectors[top, np.arange(self.n_components)])
+        self.explained_variance_ = values
         self.explained_variance_ratio_ = (
-            self.explained_variance_ / total_var if total_var > 0 else np.zeros(len(eigenvalues))
+            values / total_var if total_var > 0 else np.zeros(self.n_components)
         )
         return self
 
@@ -288,40 +279,6 @@ class PowerIterationPCA:
         if self.components_ is None:
             raise ValueError("PCA is not fitted")
         return (np.asarray(X, dtype=np.float64) - self.mean_) @ self.components_
-
-    def _power_iterate(
-        self, matrix: np.ndarray, previous: list[np.ndarray], rng: np.random.Generator
-    ) -> np.ndarray:
-        vec = self._orthonormalize(rng.standard_normal(matrix.shape[0]), previous)
-        for _ in range(self.max_iter):
-            nxt = self._orthonormalize(matrix @ vec, previous)
-            if min(np.linalg.norm(nxt - vec), np.linalg.norm(nxt + vec)) < self.tol:
-                return nxt
-            vec = nxt
-        return vec
-
-    @staticmethod
-    def _orthonormalize(vec: np.ndarray, previous: list[np.ndarray]) -> np.ndarray:
-        for p in previous:
-            vec = vec - (vec @ p) * p
-        norm = np.linalg.norm(vec)
-        if norm <= 0:
-            # matrix annihilated the iterate; restart direction is arbitrary
-            # but deterministic
-            vec = np.zeros_like(vec)
-            vec[0] = 1.0
-            for p in previous:
-                vec = vec - (vec @ p) * p
-            norm = np.linalg.norm(vec)
-        return vec / norm
-
-
-def project_pca(table: FeatureTable, k: int, seed: int = 0) -> np.ndarray:
-    """Project the raw codes onto the top-k principal components."""
-    pca = PowerIterationPCA(n_components=k, seed=seed).fit(
-        table.rows.astype(np.float64)
-    )
-    return pca.transform(table.rows.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -417,7 +374,7 @@ def evaluate(
         x_train, x_test = data[train_idx], data[test_idx]
     elif subset.mode == "pca_components":
         raw = table.rows.astype(np.float64)
-        pca = PowerIterationPCA(n_components=subset.k, seed=seed).fit(raw[train_idx])
+        pca = PowerIterationPCA(n_components=subset.k).fit(raw[train_idx])
         x_train, x_test = pca.transform(raw[train_idx]), pca.transform(raw[test_idx])
     else:
         raise ValueError(f"unknown subset mode {subset.mode!r}")

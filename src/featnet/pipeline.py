@@ -106,13 +106,6 @@ class RunManifest:
         raise KeyError(f"no outcome for partition {name!r}")
 
 
-_SELECTORS = {
-    "all": Partition.ALL,
-    "legitimate": Partition.LEGITIMATE,
-    "phishing": Partition.PHISHING,
-}
-
-
 @dataclass(frozen=True)
 class PartitionArtifacts:
     outcome: PartitionOutcome
@@ -123,7 +116,7 @@ class PartitionArtifacts:
 
 def _correlate(table: FeatureTable, cfg: PipelineConfig, name: str):
     """Partition -> Spearman -> distance -> similarity, shared by analyze and export."""
-    part = partition(table, _SELECTORS[name])
+    part = partition(table, Partition(name))
     corr = correlation.spearman_matrix(part, mode=cfg.correlation_mode)
     dist = correlation.to_distance(corr)
     return part, corr, dist, correlation.to_similarity(dist)

@@ -30,7 +30,6 @@ PUBLIC_API = [
     "maximum_spanning_tree",
     "modularity",
     "partition",
-    "project_pca",
     "rank_transform",
     "run_eval",
     "run_pipeline",
@@ -47,7 +46,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     # a change to the public API must show up as a change to this list
     assert featnet.__all__ == PUBLIC_API
-    assert len(PUBLIC_API) == 40
+    assert len(PUBLIC_API) == 39
 
 
 def test_public_names_resolve():

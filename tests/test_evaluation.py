@@ -11,7 +11,6 @@ from featnet import (
     GradientBoostedTrees,
     PowerIterationPCA,
     evaluate,
-    project_pca,
     train_gbt,
 )
 from featnet.dataset import LABEL_LEGITIMATE
@@ -41,26 +40,33 @@ def test_rank_deficient_raises():
         PowerIterationPCA(n_components=2, seed=0).fit(X)
 
 
-def test_matches_eigh_oracle():
+def test_matches_eigh_oracle(reference_table):
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(60, 3)) @ np.diag([3.0, 1.0, 0.4])
-    pca = PowerIterationPCA(n_components=3, seed=1).fit(X)
+    random = rng.normal(size=(60, 3)) @ np.diag([3.0, 1.0, 0.4])
+    # seed 1084's training rows: lambda_4 = 1.12551 and lambda_5 = 1.12438 lie
+    # close together, where an iterative solver stops short
+    train, _ = stratified_split(reference_table.labels, 0.8, 1084)
+    reference = reference_table.rows[train].astype(np.float64)
+    for X, k in ((random, 3), (reference, 5)):
+        pca = PowerIterationPCA(n_components=k, seed=1).fit(X)
 
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / (len(X) - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1]
-    assert np.allclose(pca.explained_variance_, eigenvalues[order], atol=1e-8)
-    for i in range(3):
-        ours = pca.components_[:, i]
-        theirs = eigenvectors[:, order[i]]
-        assert min(
-            np.linalg.norm(ours - theirs), np.linalg.norm(ours + theirs)
-        ) < 1e-6
-    expected_top2 = eigenvalues[order][:2].sum() / eigenvalues.sum()
-    assert pca.explained_variance_ratio_[:2].sum() == pytest.approx(
-        expected_top2, abs=1e-9
-    )
+        centered = X - X.mean(axis=0)
+        cov = centered.T @ centered / (len(X) - 1)
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        order = np.argsort(eigenvalues)[::-1]
+        assert np.allclose(pca.explained_variance_, eigenvalues[order][:k], atol=1e-8)
+        for i in range(k):
+            ours = pca.components_[:, i]
+            theirs = eigenvectors[:, order[i]]
+            assert min(
+                np.linalg.norm(ours - theirs, np.inf), np.linalg.norm(ours + theirs, np.inf)
+            ) <= 1e-12
+        residual = cov @ pca.components_ - pca.components_ * pca.explained_variance_
+        assert np.abs(residual).max() <= 1e-12
+        expected_top2 = eigenvalues[order][:2].sum() / eigenvalues.sum()
+        assert pca.explained_variance_ratio_[:2].sum() == pytest.approx(
+            expected_top2, abs=1e-9
+        )
 
 
 def test_components_orthonormal():
@@ -89,11 +95,9 @@ def test_pca_deterministic():
 
 
 def test_project_pca_on_table(reference_table):
-    projected = project_pca(reference_table, k=5, seed=0)
-    assert projected.shape == (11055, 5)
-    pca = PowerIterationPCA(n_components=5, seed=0).fit(
-        reference_table.rows.astype(float)
-    )
+    raw = reference_table.rows.astype(float)
+    pca = PowerIterationPCA(n_components=5, seed=0).fit(raw)
+    assert pca.transform(raw).shape == (11055, 5)
     assert pca.explained_variance_ratio_.sum() <= 1.0 + 1e-12
 
 
