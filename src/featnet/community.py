@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UncoveredNode
+from .errors import FeatnetError, UncoveredNode
 from .graph import WeightedGraph
 
 DEFAULT_MIN_GAIN = 1e-9
@@ -122,6 +122,8 @@ def _local_moves(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
     comm = list(range(n))
     if m <= 0.0:
         return comm
+    if 2.0 * m * m == 0.0:
+        raise FeatnetError(f"total edge weight {m!r} is too small for the modularity gain")
     comm_total = strength.copy()
 
     improved = True

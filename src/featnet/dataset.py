@@ -96,9 +96,6 @@ class FeatureTable:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.feature_names.index(name)]
-
 
 def load_dataset(path: str | Path, fmt: str = "auto") -> FeatureTable:
     """Read a feature table from a CSV or ARFF file.

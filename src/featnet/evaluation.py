@@ -49,31 +49,49 @@ class GradientBoostedTrees:
         self.loss_curve_: list[float] = []
         self._flat_trees: tuple | None = None  # _tree_arrays(trees_), set by fit
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
+    def fit(
+        self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None
+    ) -> "GradientBoostedTrees":
+        """Fit on rows ``X`` with 0/1 labels ``y``.
+
+        ``sample_weight`` holds a positive integer count per row.  A row of
+        count c weighs in as c copies of it: gradients, hessians, the base
+        score, the loss curve and the quantile bin edges all see the counts,
+        so the fit matches one on the repeated rows up to float rounding.
+        Without it every row counts once.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
+        counts = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight)
+        if counts.shape != (len(y),) or counts.dtype.kind not in "iuf" or not (
+            np.isfinite(counts) & (counts >= 1) & (counts == np.floor(counts))
+        ).all():
+            raise ValueError("sample_weight must hold one positive integer count per row")
+        counts, weight = counts.astype(np.int64), counts.astype(np.float64)
         classes = np.unique(y)
         if not np.isin(classes, (0.0, 1.0)).all():
             raise ValueError("labels must be 0/1")
         if len(classes) < 2:
             raise DegenerateLabels("training labels contain a single class")
 
-        self._fit_bins(X)
+        self._fit_bins(X, counts)
         binned = self._bin(X)
-        p0 = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
+        p0 = float(np.clip((weight * y).sum() / weight.sum(), 1e-6, 1 - 1e-6))
         self.base_score_ = float(np.log(p0 / (1.0 - p0)))
         margin = np.full(len(y), self.base_score_)
         self.trees_ = []
         self.loss_curve_ = []
         for _ in range(self.params.n_rounds):
             prob = _sigmoid(margin)
-            self.loss_curve_.append(_log_loss(y, prob))
-            tree, leaf_values = self._grow_tree(binned, prob - y, prob * (1.0 - prob))
+            self.loss_curve_.append(_log_loss(y, prob, weight))
+            tree, leaf_values = self._grow_tree(
+                binned, (prob - y) * weight, prob * (1.0 - prob) * weight
+            )
             self.trees_.append(tree)
             margin += self.params.learning_rate * leaf_values
-        self.loss_curve_.append(_log_loss(y, _sigmoid(margin)))
+        self.loss_curve_.append(_log_loss(y, _sigmoid(margin), weight))
         self._flat_trees = _tree_arrays(self.trees_)
         return self
 
@@ -102,15 +120,13 @@ class GradientBoostedTrees:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(np.int64)
 
-    def _fit_bins(self, X: np.ndarray) -> None:
+    def _fit_bins(self, X: np.ndarray, counts: np.ndarray) -> None:
         self.bin_edges_ = []
         for j in range(X.shape[1]):
             uniq = np.unique(X[:, j])
             if len(uniq) > self.params.n_bins:
-                qs = np.quantile(
-                    X[:, j], np.linspace(0.0, 1.0, self.params.n_bins + 1)[1:-1]
-                )
-                uniq = np.unique(qs)
+                levels = np.linspace(0.0, 1.0, self.params.n_bins + 1)[1:-1]
+                uniq = np.unique(np.quantile(np.repeat(X[:, j], counts), levels))
             edges = (uniq[:-1] + uniq[1:]) / 2.0 if len(uniq) > 1 else np.empty(0)
             self.bin_edges_.append(edges)
 
@@ -216,9 +232,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
-def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
+def _log_loss(y: np.ndarray, p: np.ndarray, weight: np.ndarray) -> float:
     p = np.clip(p, EPS, 1.0 - EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    return float(-(weight * terms).sum() / weight.sum())
 
 
 def train_gbt(X: np.ndarray, y: np.ndarray, params: GBTParams | None = None) -> GradientBoostedTrees:
@@ -358,7 +375,8 @@ def evaluate(
 
     In pca_components mode the projection is fitted on the training rows
     only and then applied to the test rows, so no holdout information leaks
-    into the transform.
+    into the transform.  The classifier is fitted on the distinct training
+    rows weighted by their counts; ``n_train`` still counts every row.
     """
     train_fraction, seed = split
     params = params or GBTParams()
@@ -379,7 +397,10 @@ def evaluate(
     else:
         raise ValueError(f"unknown subset mode {subset.mode!r}")
 
-    model = GradientBoostedTrees(params).fit(x_train, y01[train_idx])
+    distinct, counts = np.unique(
+        np.column_stack([x_train, y01[train_idx]]), axis=0, return_counts=True
+    )
+    model = GradientBoostedTrees(params).fit(distinct[:, :-1], distinct[:, -1], counts)
     predicted = model.predict(x_test).astype(np.float64)
     actual = y01[test_idx]
     accuracy = float((predicted == actual).mean())

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -268,6 +267,25 @@ def write_dot(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+)
+
+
+def _quoteattr(text: str) -> str:
+    """Quote an XML attribute value as ``xml.sax.saxutils.quoteattr`` does.
+
+    Importing ``xml.sax.saxutils`` pulls in ``urllib.request``, ``http.client``,
+    ``ssl`` and ``email``, a large share of the CLI's start-up time.
+    """
+    text = text.translate(_ATTR_ESCAPES)
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def write_graphml(
     tree: SpanningTree,
     path: str | Path,
@@ -285,7 +303,7 @@ def write_graphml(
         '  <graph id="feature_network" edgedefault="undirected">',
     ]
     for n in tree.nodes:
-        out.append(f"    <node id={quoteattr(n)}>")
+        out.append(f"    <node id={_quoteattr(n)}>")
         if communities is not None:
             out.append(f'      <data key="community">{int(communities[n])}</data>')
         out.append(
@@ -293,7 +311,7 @@ def write_graphml(
         )
         out.append("    </node>")
     for u, v, w in tree.edges:
-        out.append(f"    <edge source={quoteattr(u)} target={quoteattr(v)}>")
+        out.append(f"    <edge source={_quoteattr(u)} target={_quoteattr(v)}>")
         out.append(f'      <data key="weight">{w:.6f}</data>')
         out.append("    </edge>")
     out.append("  </graph>")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from featnet.cli import main
 
 from .test_pipeline import synthetic_csv
+
+
+def test_import_leaves_out_network_modules():
+    # xml.sax.saxutils would pull these in; they cost a share of start-up
+    heavy = ("urllib.request", "http.client", "ssl", "email")
+    code = f"import sys, featnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_code(capsys):

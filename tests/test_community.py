@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from featnet import WeightedGraph, louvain, modularity
-from featnet.errors import UncoveredNode
+from featnet.errors import FeatnetError, UncoveredNode
 
 from .oracles import best_partition_exhaustive, modularity_matrix_form
 
@@ -168,6 +168,13 @@ def test_zero_weight_graph():
     part = louvain(g)
     assert part.modularity == 0.0
     assert len(set(part.assignment.values())) == 3
+
+
+def test_underflowing_total_weight_is_typed_error():
+    # 2m^2 underflows to 0 below a total weight of about 1e-154
+    g = WeightedGraph(["x", "y"], [("x", "y", 2.2e-313)])
+    with pytest.raises(FeatnetError, match="too small"):
+        louvain(g)
 
 
 def test_local_move_gain_formula_is_exact():

@@ -247,6 +247,79 @@ def test_gbt_equals_recursive_oracle_bitwise(problem):
         assert_matches_recursive_oracle(X, y, x_test, params)
 
 
+def assert_counts_match_repeated_rows(X, y, counts, x_test, params):
+    """Counts must act as repeated rows: equal bin edges, and loss curve and
+    probabilities within 1e-12 (sums of c copies and c times a value differ
+    in the last bits)."""
+    weighted = GradientBoostedTrees(params).fit(X, y, sample_weight=counts)
+    repeated = GradientBoostedTrees(params).fit(np.repeat(X, counts, axis=0), np.repeat(y, counts))
+    assert len(weighted.bin_edges_) == len(repeated.bin_edges_)
+    for ours, theirs in zip(weighted.bin_edges_, repeated.bin_edges_):
+        assert np.array_equal(ours, theirs)
+    assert np.allclose(weighted.loss_curve_, repeated.loss_curve_, rtol=0, atol=1e-12)
+    for data in (X, x_test):
+        assert np.allclose(
+            weighted.predict_proba(data), repeated.predict_proba(data), rtol=0, atol=1e-12
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_counts_equal_repeated_rows(n, d, seed, data):
+    # Two splits whose sides hold equal counts of each label have equal gains
+    # in exact arithmetic, and last-bit differences then pick either one.  So
+    # the counts are distinct powers of two, which give every row subset its
+    # own total, and the columns are continuous, without ties.  The same
+    # partition can still come from two features, which only the held-out
+    # rows would tell apart, so only training rows are compared.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    y[:2] = (0.0, 1.0)
+    counts = rng.permutation(2 ** np.arange(n))
+    params = GBTParams(
+        n_rounds=data.draw(st.integers(1, 5)),
+        learning_rate=data.draw(st.sampled_from([0.1, 0.7])),
+        max_depth=data.draw(st.integers(0, 4)),
+        reg_lambda=data.draw(st.sampled_from([0.3, 1.0])),
+        min_child_weight=data.draw(st.sampled_from([0.0, 1.0])),
+        n_bins=data.draw(st.sampled_from([4, 256])),  # 4 bins take quantile edges
+    )
+    assert_counts_match_repeated_rows(X, y, counts, X[:0], params)
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45, 46])
+@pytest.mark.parametrize("mode", ["hub", "pca"])
+def test_counts_equal_repeated_rows_on_reference(reference_table, mode, seed):
+    # the distinct training rows and their counts, as evaluate fits them
+    train, test = stratified_split(reference_table.labels, 0.8, seed)
+    raw = reference_table.rows.astype(np.float64)
+    if mode == "hub":
+        data = raw[:, [reference_table.feature_names.index(f) for f in HUB_FEATURES]]
+        x_train, x_test = data[train], data[test]
+    else:
+        pca = PowerIterationPCA(n_components=5).fit(raw[train])
+        x_train, x_test = pca.transform(raw[train]), pca.transform(raw[test])
+    y = (reference_table.labels == LABEL_LEGITIMATE).astype(np.float64)
+    distinct, counts = np.unique(
+        np.column_stack([x_train, y[train]]), axis=0, return_counts=True
+    )
+    assert_counts_match_repeated_rows(
+        distinct[:, :-1], distinct[:, -1], counts, x_test, GBTParams(n_rounds=40)
+    )
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[1, 0, 1, 1], [1, -2, 1, 1], [1, 1.5, 1, 1], [1, np.nan, 1, 1], [1, np.inf, 1, 1],
+     [1, 1, 1], [[1, 1, 1, 1]], ["1", "1", "1", "1"]],
+)
+def test_rejects_invalid_counts(counts):
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(ValueError):
+        GradientBoostedTrees(GBTParams(n_rounds=1)).fit(X, np.array([0.0, 1.0, 0.0, 1.0]), counts)
+
+
 # --- splits and evaluation ----------------------------------------------------
 
 def test_stratified_split_properties():
@@ -339,6 +412,20 @@ def test_all_features_at_least_as_accurate_as_hub_subset(reference_table):
         f"30-feature accuracy {full.accuracy:.4f}"
     )
     assert full.accuracy >= subset.accuracy - 0.01
+
+
+PUBLISHED_ACCURACY = {
+    "hub": (0.91633, 0.91633, 0.92266, 0.91633, 0.91723),
+    "pca": (0.91135, 0.91497, 0.91542, 0.91859, 0.91000),
+}
+
+
+@pytest.mark.parametrize("mode", ["hub", "pca"])
+def test_published_accuracies_per_seed(reference_table, mode):
+    spec = FeatureSubsetSpec.named(HUB_FEATURES) if mode == "hub" else FeatureSubsetSpec.pca(5)
+    reports = [evaluate(reference_table, spec, split=(0.8, seed)) for seed in range(42, 47)]
+    assert tuple(round(r.accuracy, 5) for r in reports) == PUBLISHED_ACCURACY[mode]
+    assert all(r.n_train == 8844 for r in reports)
 
 
 def test_report_serializes_to_json():

@@ -1,4 +1,5 @@
 import math
+from xml.sax.saxutils import quoteattr
 
 import networkx as nx
 import numpy as np
@@ -16,8 +17,8 @@ from featnet import (
     modularity,
 )
 from featnet.correlation import SimilarityMatrix
-from featnet.errors import DegenerateDistribution, MissingCommunity
-from featnet.graph import write_dot, write_graphml
+from featnet.errors import DegenerateDistribution, FeatnetError, MissingCommunity
+from featnet.graph import _quoteattr, write_dot, write_graphml
 
 from .oracles import (
     DictGraph,
@@ -210,7 +211,12 @@ def test_index_graph_equals_dict_oracle(graph, data):
         part = louvain(h)
         return part.assignment, part.modularity, part.levels
 
-    assert outcome(partition_of, g) == outcome(louvain_dict, oracle)
+    expected = outcome(louvain_dict, oracle)
+    if expected[0] == "ZeroDivisionError":  # 2m^2 underflows to 0 in the gain
+        with pytest.raises(FeatnetError):
+            louvain(g)
+    else:
+        assert outcome(partition_of, g) == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -362,6 +368,12 @@ def test_graphml_round_trips_through_networkx(tmp_path):
     assert loaded.nodes["a"]["community"] == communities["a"]
     weights = [d["weight"] for _, _, d in loaded.edges(data=True)]
     assert weights == [1.0, 1.0, 1.0, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab&<>\"'\n\r\t ;#é\x00") | st.characters()))
+def test_quoteattr_matches_stdlib(text):
+    assert _quoteattr(text) == quoteattr(text)
 
 
 def test_dot_export_format(tmp_path):
