@@ -28,7 +28,6 @@ from .evaluation import (
     GradientBoostedTrees,
     PowerIterationPCA,
     evaluate,
-    train_gbt,
 )
 from .graph import (
     GammaEstimate,
@@ -90,5 +89,4 @@ __all__ = [
     "stability_check",
     "to_distance",
     "to_similarity",
-    "train_gbt",
 ]

@@ -63,13 +63,9 @@ class FeatureTable:
             dupes = sorted({n for n in names if list(names).count(n) > 1})
             raise SchemaError(f"duplicate feature names: {dupes}")
         if rows.ndim != 2 or rows.shape[1] != len(names):
-            raise SchemaError(
-                f"row matrix has shape {rows.shape}, expected (n, {len(names)})"
-            )
+            raise SchemaError(f"row matrix has shape {rows.shape}, expected (n, {len(names)})")
         if labels.shape != (rows.shape[0],):
-            raise SchemaError(
-                f"{labels.shape[0]} labels for {rows.shape[0]} rows"
-            )
+            raise SchemaError(f"{labels.shape[0]} labels for {rows.shape[0]} rows")
 
         bad = np.argwhere(~np.isin(rows, FEATURE_VALUES))
         if bad.size:
@@ -102,31 +98,22 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> FeatureTable:
 
     ``fmt`` is one of ``csv``, ``arff``, ``auto``.  In auto mode the file
     extension decides; failing that, a leading ``@`` line marks ARFF.  The
-    last column is always interpreted as the class label.
+    last column is the class label.  A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
+    parsers = {"csv": _parse_csv, "arff": _parse_arff}
     if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix == ".arff":
-            fmt = "arff"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
-            stripped = next((l for l in text.splitlines() if l.strip()), "")
-            fmt = "arff" if stripped.lstrip().startswith("@") else "csv"
-    if fmt == "csv":
-        names, cells = _parse_csv(text)
-    elif fmt == "arff":
-        names, cells = _parse_arff(text)
-    else:
+        fmt = path.suffix.lower()[1:]
+        if fmt not in parsers:
+            fmt = "arff" if text.lstrip().startswith("@") else "csv"
+    if fmt not in parsers:
         raise ValueError(f"unknown format {fmt!r}")
-    return _build_table(names, cells, source=str(path))
+    return _build_table(*parsers[fmt](text), source=str(path))
 
 
 def loads_csv(text: str, source: str = "<string>") -> FeatureTable:
-    names, cells = _parse_csv(text)
-    return _build_table(names, cells, source=source)
+    return _build_table(*_parse_csv(text), source=source)
 
 
 def save_csv(table: FeatureTable, path: str | Path) -> None:
@@ -134,8 +121,7 @@ def save_csv(table: FeatureTable, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(table.feature_names) + ["Result"])
-        for row, label in zip(table.rows, table.labels):
-            writer.writerow([int(v) for v in row] + [int(label)])
+        writer.writerows(np.column_stack([table.rows, table.labels]).tolist())
 
 
 def partition(table: FeatureTable, sel: Partition) -> FeatureTable:
@@ -160,46 +146,60 @@ def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:
         raise EmptyPartition("cannot take proportions of an empty table")
     values, counts = np.unique(table.labels, return_counts=True)
     total = int(counts.sum())
-    return {
-        int(v): (int(c), int(c) / total) for v, c in zip(values, counts)
-    }
+    return {int(v): (int(c), int(c) / total) for v, c in zip(values, counts)}
 
 
-def _build_table(
-    names: list[str], cells: list[tuple[int, list[int]]], source: str
-) -> FeatureTable:
+def _build_table(names: list[str], matrix: np.ndarray, source: str) -> FeatureTable:
+    return FeatureTable(tuple(names[:-1]), matrix[:, :-1], matrix[:, -1], source)
+
+
+def _bulk_matrix(body: str, n_cols: int) -> np.ndarray | None:
+    """The (n, n_cols) int64 matrix of a clean body, or None for the line parser.
+
+    Clean: rows of exactly n_cols comma-separated ASCII ``[+-]?[0-9]+`` tokens
+    of at most 18 digits (so none overflows int64), ended by LF or CRLF.
+    """
+    body = body.replace("\r\n", "\n").rstrip("\n")
+    if n_cols < 2 or not body.isascii():
+        return None
+    b = np.frombuffer(f"\n{body}\n".encode("ascii"), dtype=np.uint8)  # an LF at each end
+    seps = np.flatnonzero((b == 44) | (b == 10))
+    lead = (b[seps[:-1] + 1] == 43) | (b[seps[:-1] + 1] == 45)  # a sign opening a token
+    n_digits = np.diff(seps) - 1 - lead
+    # clean iff every byte is a separator, a token's leading sign or a digit
+    if not (len(seps) + lead.sum() + ((b >= 48) & (b <= 57)).sum() == len(b)
+            and 1 <= n_digits.min() and n_digits.max() <= 18
+            and (np.diff(np.flatnonzero(b[seps] == 10)) == n_cols).all()):
+        return None
+    flat = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
+    return flat.reshape(-1, n_cols)
+
+
+def _cells_matrix(names: list[str], cells: list[tuple[int, list[int]]]) -> np.ndarray:
+    if not cells:
+        raise ParseError("no data rows found", line=1)
     if len(names) < 2:
         raise SchemaError("need at least one feature column plus the label column")
-    feature_names = tuple(names[:-1])
-    n_cols = len(names)
-    rows, labels = [], []
     for line_no, values in cells:
-        if len(values) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} values, got {len(values)}", line=line_no
-            )
-        rows.append(values[:-1])
-        labels.append(values[-1])
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols - 1)
-    label_arr = np.array(labels, dtype=np.int64)
-    return FeatureTable(
-        feature_names=feature_names,
-        rows=matrix,
-        labels=label_arr,
-        source_descriptor=source,
-    )
+        if len(values) != len(names):
+            raise ParseError(f"expected {len(names)} values, got {len(values)}", line=line_no)
+    return np.array([values for _, values in cells], dtype=np.int64)
 
 
 def _to_int(token: str, line_no: int) -> int:
     token = token.strip()
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(f"non-integer cell {token!r}", line=line_no) from None
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"cell {token!r} does not fit in int64", line=line_no)
+    return value
 
 
-def _parse_csv(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
-    reader = csv.reader(io.StringIO(text))
+def _parse_csv(text: str) -> tuple[list[str], np.ndarray]:
+    buf = io.StringIO(text)  # tell() is the offset of the rest of text
+    reader = csv.reader(buf)
     names: list[str] | None = None
     cells: list[tuple[int, list[int]]] = []
     for line_no, record in enumerate(reader, start=1):
@@ -207,16 +207,17 @@ def _parse_csv(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
             continue
         if names is None:
             names = [f.strip() for f in record]
+            matrix = _bulk_matrix(text[buf.tell():], len(names))
+            if matrix is not None:
+                return names, matrix
             continue
         cells.append((line_no, [_to_int(tok, line_no) for tok in record]))
     if names is None:
         raise ParseError("no header row found", line=1)
-    if not cells:
-        raise ParseError("no data rows found", line=1)
-    return names, cells
+    return names, _cells_matrix(names, cells)
 
 
-def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
+def _parse_arff(text: str) -> tuple[list[str], np.ndarray]:
     """Parse the minimal ARFF subset: @relation, nominal @attribute, @data.
 
     '%' comments and blank lines are skipped.  Sparse rows ('{...}') and
@@ -225,7 +226,8 @@ def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
     names: list[str] = []
     cells: list[tuple[int, list[int]]] = []
     in_data = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -244,6 +246,10 @@ def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
             names.append(name)
             continue
         if line.lower().startswith("@data"):
+            if not in_data:  # the first @data line: try the rest in bulk
+                matrix = _bulk_matrix("\n".join(lines[line_no:]), len(names))
+                if matrix is not None:
+                    return names, matrix
             in_data = True
             continue
         if not in_data:
@@ -253,6 +259,4 @@ def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
         cells.append((line_no, [_to_int(tok, line_no) for tok in line.split(",")]))
     if not names:
         raise ParseError("no @attribute declarations found", line=1)
-    if not cells:
-        raise ParseError("no data rows found", line=1)
-    return names, cells
+    return names, _cells_matrix(names, cells)

@@ -19,6 +19,7 @@ from .dataset import FeatureTable, LABEL_LEGITIMATE
 from .errors import DegenerateLabels, RankDeficient
 
 EPS = 1e-12
+_LEAF_THRESHOLD = np.iinfo(np.int32).max  # every bin is <= it: a leaf keeps its rows
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def _tree_arrays(trees: list[tuple]):
     nodes, columns, depth = list(trees), [], [0] * len(trees)
     for i, node in enumerate(nodes):  # the loop also visits appended children
         if node[0] == "leaf":
-            columns.append((0, np.iinfo(np.int32).max, i, node[1]))
+            columns.append((0, _LEAF_THRESHOLD, i, node[1]))
         else:
             columns.append((node[1], node[2], len(nodes), 0.0))
             nodes += node[3:]
@@ -236,10 +237,6 @@ def _log_loss(y: np.ndarray, p: np.ndarray, weight: np.ndarray) -> float:
     p = np.clip(p, EPS, 1.0 - EPS)
     terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
     return float(-(weight * terms).sum() / weight.sum())
-
-
-def train_gbt(X: np.ndarray, y: np.ndarray, params: GBTParams | None = None) -> GradientBoostedTrees:
-    return GradientBoostedTrees(params).fit(X, y)
 
 
 class PowerIterationPCA:

@@ -2,9 +2,13 @@
 
 Everything here is written the slow, obvious way (pure-Python textbook
 formulas, exhaustive enumeration, node-by-node recursion) and deliberately
-shares no code with the package under test.
+shares no code with the package under test.  The one exception is
+``load_lines``, which checks only parsing and hands its cells to featnet's
+``FeatureTable`` for the domain and schema checks.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -406,3 +410,86 @@ def _louvain_local_moves(n, edges, min_gain):
                 comm[u] = best
                 improved = True
     return comm
+
+
+def load_lines(text, fmt, source="<string>"):
+    """The line-by-line CSV / ARFF loader: int() on every cell, one list per row."""
+    from featnet.dataset import FeatureTable
+    from featnet.errors import ParseError, SchemaError
+
+    def to_int(token, line_no):
+        token = token.strip()
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"non-integer cell {token!r}", line=line_no) from None
+
+    def parse_csv(text):
+        reader = csv.reader(io.StringIO(text))
+        names = None
+        cells = []
+        for line_no, record in enumerate(reader, start=1):
+            if not record or all(not f.strip() for f in record):
+                continue
+            if names is None:
+                names = [f.strip() for f in record]
+                continue
+            cells.append((line_no, [to_int(tok, line_no) for tok in record]))
+        if names is None:
+            raise ParseError("no header row found", line=1)
+        if not cells:
+            raise ParseError("no data rows found", line=1)
+        return names, cells
+
+    def parse_arff(text):
+        names = []
+        cells = []
+        in_data = False
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            if not in_data and line.lower().startswith("@relation"):
+                continue
+            if not in_data and line.lower().startswith("@attribute"):
+                body = line[len("@attribute"):].strip()
+                brace = body.find("{")
+                if brace < 0:
+                    raise ParseError(
+                        "only nominal attributes ('{...}') are supported", line=line_no
+                    )
+                name = body[:brace].strip().strip("'\"")
+                if not name:
+                    raise ParseError("attribute without a name", line=line_no)
+                names.append(name)
+                continue
+            if line.lower().startswith("@data"):
+                in_data = True
+                continue
+            if not in_data:
+                raise ParseError(f"unexpected line before @data: {line!r}", line=line_no)
+            if line.startswith("{"):
+                raise ParseError("sparse ARFF rows are not supported", line=line_no)
+            cells.append((line_no, [to_int(tok, line_no) for tok in line.split(",")]))
+        if not names:
+            raise ParseError("no @attribute declarations found", line=1)
+        if not cells:
+            raise ParseError("no data rows found", line=1)
+        return names, cells
+
+    names, cells = parse_csv(text) if fmt == "csv" else parse_arff(text)
+    if len(names) < 2:
+        raise SchemaError("need at least one feature column plus the label column")
+    n_cols = len(names)
+    rows, labels = [], []
+    for line_no, values in cells:
+        if len(values) != n_cols:
+            raise ParseError(f"expected {n_cols} values, got {len(values)}", line=line_no)
+        rows.append(values[:-1])
+        labels.append(values[-1])
+    return FeatureTable(
+        feature_names=tuple(names[:-1]),
+        rows=np.array(rows, dtype=np.int64).reshape(len(rows), n_cols - 1),
+        labels=np.array(labels, dtype=np.int64),
+        source_descriptor=source,
+    )

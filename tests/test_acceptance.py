@@ -24,7 +24,7 @@ from featnet import (
     to_distance,
     to_similarity,
 )
-from featnet.evaluation import GBTParams, PowerIterationPCA, train_gbt
+from featnet.evaluation import GBTParams, GradientBoostedTrees, PowerIterationPCA
 
 from .conftest import REFERENCE_ARFF
 from .oracles import (
@@ -297,8 +297,8 @@ def test_criterion_7_structural_invariants(reference_manifest, tmp_path):
     # GBT loss curve is non-increasing on real data
     cols = [table.feature_names.index(f) for f in REPORTED_FIVE_FEATURES]
     y = (table.labels == 1).astype(float)
-    model = train_gbt(
-        table.rows[:, cols].astype(float), y, GBTParams(n_rounds=50)
+    model = GradientBoostedTrees(GBTParams(n_rounds=50)).fit(
+        table.rows[:, cols].astype(float), y
     )
     assert (np.diff(model.loss_curve_) <= 1e-12).all()
 

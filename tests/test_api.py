@@ -39,14 +39,13 @@ PUBLIC_API = [
     "stability_check",
     "to_distance",
     "to_similarity",
-    "train_gbt",
 ]
 
 
 def test_public_api_is_pinned():
     # a change to the public API must show up as a change to this list
     assert featnet.__all__ == PUBLIC_API
-    assert len(PUBLIC_API) == 39
+    assert len(PUBLIC_API) == 38
 
 
 def test_public_names_resolve():

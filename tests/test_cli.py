@@ -151,6 +151,16 @@ def test_input_directory_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cell_beyond_int64_is_data_error(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("a,b,Result\n1,1,1\n-1,99999999999999999999,-1\n")
+    code = main(["analyze", "--input", str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: cell '99999999999999999999' does not fit in int64\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["analyze", "export"])
 def test_out_is_existing_file_is_data_error(tmp_path, capsys, command):
     data = synthetic_csv(tmp_path / "data.csv")

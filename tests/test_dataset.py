@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from featnet import (
     FeatureTable,
@@ -12,6 +12,8 @@ from featnet import (
 )
 from featnet.dataset import loads_csv
 from featnet.errors import DomainError, EmptyPartition, ParseError, SchemaError
+
+from .oracles import load_lines
 
 
 def test_reference_shape(reference_table):
@@ -185,3 +187,147 @@ def test_csv_round_trip(tmp_path_factory, data):
     assert loaded.feature_names == table.feature_names
     assert np.array_equal(loaded.rows, table.rows)
     assert np.array_equal(loaded.labels, table.labels)
+
+
+# cells the line parser accepts or rejects in its own way: padding, signs,
+# leading zeros, out-of-domain and long values, non-integers, non-ASCII
+# digits, underscores
+ODD_CELLS = (
+    " 1", "1 ", "\t-1", "+1", "01", "-0", "2", "-7", "123456789012345678",
+    "9223372036854775807", "x", "1.0", "", "-", "--1", "1-1", "\u0661", "\uff11", "1_0",
+)
+QUOTED_CELLS = ('"1"', '"-1"', '" 0"', '"1,1"', '""')
+
+
+@st.composite
+def table_texts(draw):
+    """A CSV or ARFF file: clean, or with one kind of odd line mixed in.
+
+    One kind per file lets odd cells reach the bulk path, which rejects a
+    body on its first odd line of any kind.
+    """
+    fmt = draw(st.sampled_from(("csv", "arff")))
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    names = [f"f{j}" for j in range(n_cols - 1)] + ["Result"]
+    kinds = ["cell", "ragged", "trailing", "blank", "comment", "data", "sparse"]
+    kind = draw(st.sampled_from(["clean"] + kinds + (["quoted"] if fmt == "csv" else [])))
+
+    def cells(width, pool=("-1", "0", "1")):
+        return draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width))
+
+    def with_one(values, pool):
+        if values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(pool))
+        return ",".join(values)
+
+    if fmt == "csv":
+        lines = [",".join(names)]
+    else:
+        lines = ["@relation demo"] + [f"@attribute {n} {{-1,0,1}}" for n in names] + ["@data"]
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if kind == "clean" or draw(st.booleans()):
+            lines.append(",".join(cells(n_cols)))
+        elif kind == "cell":
+            lines.append(with_one(cells(n_cols), ODD_CELLS))
+        elif kind == "quoted":
+            lines.append(with_one(cells(n_cols), QUOTED_CELLS))
+        elif kind == "ragged":  # together the two rows hold 2 * n_cols cells
+            lines += [",".join(cells(n_cols - 1)), ",".join(cells(n_cols + 1))]
+        elif kind == "trailing":
+            lines.append(",".join(cells(n_cols)) + ",")
+        else:
+            lines.append({"blank": draw(st.sampled_from(("", "  ", "\t"))), "comment": "% note",
+                          "data": "@data", "sparse": "{0 1}"}[kind])
+    if kind != "clean" and draw(st.booleans()):  # a comment or blank line in the header
+        lines.insert(1, draw(st.sampled_from(("% header note", "", " "))))
+    # a file has one line end, or a mix of them
+    eols = draw(st.sampled_from((("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r"))))
+    text = "".join(line + draw(st.sampled_from(eols)) for line in lines)
+    return fmt, text if draw(st.booleans()) else text[: len(text.rstrip("\r\n"))]
+
+
+def outcome(load):
+    try:
+        table = load()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        table.feature_names, table.rows.dtype, table.rows.tolist(),
+        table.labels.dtype, table.labels.tolist(),
+    )
+
+
+@settings(max_examples=300)
+@given(table_texts())
+def test_loader_matches_line_parser_oracle(tmp_path_factory, doc):
+    fmt, text = doc
+    path = tmp_path_factory.mktemp("oracle") / f"table.{fmt}"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), fmt))
+    assert outcome(lambda: load_dataset(path)) == expected
+    if fmt == "csv":  # loads_csv sees the line ends as they are
+        assert outcome(lambda: loads_csv(text)) == outcome(lambda: load_lines(text, "csv"))
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS + QUOTED_CELLS)
+@pytest.mark.parametrize("fmt", ["csv", "arff"])
+def test_odd_cell_among_clean_rows_matches_oracle(tmp_path, fmt, cell):
+    header = "a,b,Result\n" if fmt == "csv" else (
+        "@attribute a {-1,0,1}\n@attribute b {-1,0,1}\n@attribute Result {-1,1}\n@data\n"
+    )
+    text = f"{header}1,0,1\n-1,{cell},-1\n0,1,1\n"
+    path = tmp_path / f"table.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(lambda: load_dataset(path)) == outcome(lambda: load_lines(text, fmt))
+
+
+@pytest.mark.parametrize(
+    "body", ["1,1,1\r1,1,1\n", "1,1,1\r\n-1,0,1\r\n", "1,1,1\r\r\n", "1,1,1\n\n\n", "1,1,1\n\r"]
+)
+def test_csv_line_ends_match_oracle(body):
+    text = "a,b,Result\n" + body
+    assert outcome(lambda: loads_csv(text)) == outcome(lambda: load_lines(text, "csv"))
+
+
+@pytest.mark.parametrize(
+    "body", ["1,1\n@data\n-1,1\n", "1,1\n% note\n-1,1\n", "1,1\n\n-1,1\n", "1,1\n{0 1}\n", "1,1\n@relation x\n"]
+)
+def test_arff_bodies_match_oracle(tmp_path, body):
+    text = "@attribute a {-1,0,1}\n@attribute Result {-1,1}\n@data\n" + body
+    path = tmp_path / "table.arff"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(lambda: load_dataset(path)) == outcome(lambda: load_lines(text, "arff"))
+
+
+def test_bulk_parse_equals_oracle_on_reference(reference_table):
+    from .conftest import REFERENCE_ARFF
+
+    oracle = load_lines(REFERENCE_ARFF.read_text(encoding="utf-8"), "arff")
+    assert outcome(lambda: reference_table) == outcome(lambda: oracle)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "arff"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, fmt):
+    if fmt == "csv":
+        text = "a,b,Result\n1,-1,1\n0,1,-1\n"
+    else:
+        text = "@relation x\n@attribute a {-1,0,1}\n@attribute b {-1,0,1}\n" \
+               "@attribute Result {-1,1}\n@data\n1,-1,1\n0,1,-1\n"
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    table = load_dataset(marked)
+    assert table.feature_names == ("a", "b")
+    assert outcome(lambda: table) == outcome(lambda: load_dataset(plain))
+
+
+@pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+@pytest.mark.parametrize("ragged", [False, True])
+def test_cell_beyond_int64_is_parse_error(cell, ragged):
+    # the bulk path would saturate such a cell; the line parser must see it
+    tail = "1,1\n" if ragged else ""
+    with pytest.raises(ParseError) as err:
+        loads_csv(f"a,b,Result\n1,1,1\n1,{cell},1\n{tail}")
+    assert err.value.line == 3
+    assert cell in str(err.value)

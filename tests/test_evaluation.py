@@ -11,7 +11,6 @@ from featnet import (
     GradientBoostedTrees,
     PowerIterationPCA,
     evaluate,
-    train_gbt,
 )
 from featnet.dataset import LABEL_LEGITIMATE
 from featnet.errors import DegenerateLabels, RankDeficient
@@ -109,14 +108,14 @@ def test_separable_data_perfectly_fit():
         [rng.normal(-2.0, 0.3, size=(50, 2)), rng.normal(2.0, 0.3, size=(50, 2))]
     )
     y = np.r_[np.zeros(50), np.ones(50)]
-    model = train_gbt(X, y, GBTParams(n_rounds=30, max_depth=2))
+    model = GradientBoostedTrees(GBTParams(n_rounds=30, max_depth=2)).fit(X, y)
     assert (model.predict(X) == y).all()
 
 
 def test_degenerate_labels():
     X = np.zeros((10, 2))
     with pytest.raises(DegenerateLabels):
-        train_gbt(X, np.ones(10))
+        GradientBoostedTrees().fit(X, np.ones(10))
 
 
 def test_xor_pattern():
@@ -124,7 +123,7 @@ def test_xor_pattern():
     rng = np.random.default_rng(1)
     X = rng.uniform(-1, 1, size=(400, 2))
     y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(float)
-    model = train_gbt(X, y, GBTParams(n_rounds=60, max_depth=2))
+    model = GradientBoostedTrees(GBTParams(n_rounds=60, max_depth=2)).fit(X, y)
     assert (model.predict(X) == y).mean() > 0.95
 
 
@@ -132,7 +131,7 @@ def test_loss_curve_non_increasing():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(200, 3))
     y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.3, size=200) > 0).astype(float)
-    model = train_gbt(X, y, GBTParams(n_rounds=60))
+    model = GradientBoostedTrees(GBTParams(n_rounds=60)).fit(X, y)
     losses = np.array(model.loss_curve_)
     assert len(losses) == 61
     assert (np.diff(losses) <= 1e-12).all()
@@ -142,8 +141,8 @@ def test_gbt_deterministic():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(100, 4))
     y = (X.sum(axis=1) > 0).astype(float)
-    a = train_gbt(X, y, GBTParams(n_rounds=20))
-    b = train_gbt(X, y, GBTParams(n_rounds=20))
+    a = GradientBoostedTrees(GBTParams(n_rounds=20)).fit(X, y)
+    b = GradientBoostedTrees(GBTParams(n_rounds=20)).fit(X, y)
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
@@ -151,13 +150,13 @@ def test_probabilities_in_unit_interval():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(80, 2))
     y = (X[:, 0] > 0).astype(float)
-    p = train_gbt(X, y, GBTParams(n_rounds=10)).predict_proba(X)
+    p = GradientBoostedTrees(GBTParams(n_rounds=10)).fit(X, y).predict_proba(X)
     assert ((p >= 0) & (p <= 1)).all()
 
 
 def test_rejects_non_binary_labels():
     with pytest.raises(ValueError):
-        train_gbt(np.zeros((4, 1)), np.array([0.0, 1.0, 2.0, 1.0]))
+        GradientBoostedTrees().fit(np.zeros((4, 1)), np.array([0.0, 1.0, 2.0, 1.0]))
 
 
 def assert_matches_recursive_oracle(x_train, y_train, x_test, params):
@@ -165,9 +164,9 @@ def assert_matches_recursive_oracle(x_train, y_train, x_test, params):
         trees, loss_curve, predict_proba = gbt_recursive(x_train, y_train, params)
     except ZeroDivisionError:  # reg_lambda = 0 and a leaf with zero hessian
         with pytest.raises(ZeroDivisionError):
-            train_gbt(x_train, y_train, params)
+            GradientBoostedTrees(params).fit(x_train, y_train)
         return
-    model = train_gbt(x_train, y_train, params)
+    model = GradientBoostedTrees(params).fit(x_train, y_train)
     assert model.trees_ == trees
     assert model.loss_curve_ == loss_curve
     for data in (x_train, x_test):
