@@ -81,49 +81,60 @@ def louvain(g: WeightedGraph) -> CommunityPartition:
     if g.n_nodes == 0:
         raise ValueError("cannot detect communities in an empty graph")
 
-    # current level: integer nodes 0..n-1, edge list may contain self-loops
-    n = g.n_nodes
-    edges = list(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
-    membership = list(range(n))  # original node index -> current-level node
+    # current level: nodes 0..n-1 and edge arrays that may hold self-loops
+    n, src, dst, weight = g.n_nodes, g.src, g.dst, g.weight
+    membership = np.arange(n)  # original node index -> current-level node
     levels = 0
 
     while True:
-        comm = _local_moves(n, edges)
-        n_comm = len(set(comm))
-        if n_comm == n:
+        comm = _local_moves(n, src, dst, weight)
+        ids, first = np.unique(comm, return_index=True)
+        if len(ids) == n:
             break
-        comm = _renumber(comm)
-        membership = [comm[c] for c in membership]
-        edges = _aggregate(edges, comm)
-        n = n_comm
+        # renumber by first appearance; by induction this keeps membership
+        # numbered by first appearance in graph node order
+        renumber = np.empty(n, dtype=np.intp)
+        renumber[ids[np.argsort(first)]] = np.arange(len(ids))
+        comm = renumber[comm]
+        membership = comm[membership]
+        n = len(ids)
+        # collapse communities into super-nodes; intra edges become self-loops,
+        # and each pair's weights add in edge order, pairs ascending
+        lo, hi = np.minimum(comm[src], comm[dst]), np.maximum(comm[src], comm[dst])
+        pairs, inverse = np.unique(lo * n + hi, return_inverse=True)
+        src, dst = np.divmod(pairs, n)
+        weight = np.bincount(inverse, weights=weight)
         levels += 1
         if n == 1:
             break
 
-    final = _renumber(membership)
-    assignment = {name: final[i] for i, name in enumerate(g.nodes)}
+    assignment = dict(zip(g.nodes, membership.tolist()))
     q = modularity(g, assignment) if _sum_in_order(g.weight) > 0 else 0.0
     return CommunityPartition(assignment=assignment, modularity=q, levels=levels)
 
 
-def _local_moves(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
+def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """One Louvain phase over integer nodes; returns the community of each node."""
-    adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    self_weight = [0.0] * n
-    for u, v, w in edges:
-        if u == v:
-            self_weight[u] += w
-        else:
-            adjacency[u][v] = adjacency[u].get(v, 0.0) + w
-            adjacency[v][u] = adjacency[v].get(u, 0.0) + w
-
-    strength = [sum(adjacency[u].values()) + 2.0 * self_weight[u] for u in range(n)]
-    m = sum(strength) / 2.0
-    comm = list(range(n))
+    loop = src == dst
+    # each non-loop edge is a link from both ends; a stable sort by start
+    # node lists every node's links in edge order
+    a, b = src[~loop], dst[~loop]
+    start, end = np.column_stack((a, b)).ravel(), np.column_stack((b, a)).ravel()
+    link_weight = np.repeat(weight[~loop], 2)
+    # bincount of no indices is int64, so the sum is not formed in place
+    strength = np.bincount(start, weights=link_weight, minlength=n) + 2.0 * np.bincount(
+        src[loop], weights=weight[loop], minlength=n
+    )
+    m = _sum_in_order(strength) / 2.0
+    comm = np.arange(n)
     if m <= 0.0:
         return comm
     if 2.0 * m * m == 0.0:
         raise FeatnetError(f"total edge weight {m!r} is too small for the modularity gain")
+    order = np.argsort(start, kind="stable")
+    bounds = np.cumsum(np.bincount(start, minlength=n))[:-1]
+    neighbors = np.split(end[order], bounds)
+    neighbor_weight = np.split(link_weight[order], bounds)
     comm_total = strength.copy()
 
     improved = True
@@ -131,47 +142,22 @@ def _local_moves(n: int, edges: list[tuple[int, int, float]]) -> list[int]:
         improved = False
         for u in range(n):
             current = comm[u]
-            links: dict[int, float] = {}
-            for v, w in adjacency[u].items():
-                c = comm[v]
-                links[c] = links.get(c, 0.0) + w
             comm_total[current] -= strength[u]
-            link_current = links.get(current, 0.0)
-            best, best_gain = current, 0.0
-            # ascending id order makes the smallest community win gain ties
-            for c in sorted(links):
-                gain = (links[c] - link_current) / m - strength[u] * (
-                    comm_total[c] - comm_total[current]
-                ) / (2.0 * m * m)
-                if gain > DEFAULT_MIN_GAIN and gain > best_gain:
-                    best, best_gain = c, gain
+            near = comm[neighbors[u]]
+            links = np.bincount(near, weights=neighbor_weight[u], minlength=n)
+            # neighboring communities in ascending id order, so the first
+            # maximum is the smallest id among equal gains
+            cand = np.flatnonzero(np.bincount(near, minlength=n))
+            gain = (links[cand] - links[current]) / m - strength[u] * (
+                comm_total[cand] - comm_total[current]
+            ) / (2.0 * m * m)
+            ok = gain > DEFAULT_MIN_GAIN  # False for NaN
+            best = cand[ok][np.argmax(gain[ok])] if ok.any() else current
             comm_total[best] += strength[u]
             if best != current:
                 comm[u] = best
                 improved = True
     return comm
-
-
-def _renumber(comm: list[int]) -> list[int]:
-    mapping: dict[int, int] = {}
-    out = []
-    for c in comm:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-        out.append(mapping[c])
-    return out
-
-
-def _aggregate(
-    edges: list[tuple[int, int, float]], comm: list[int]
-) -> list[tuple[int, int, float]]:
-    """Collapse communities into super-nodes; intra edges become self-loops."""
-    acc: dict[tuple[int, int], float] = {}
-    for u, v, w in edges:
-        cu, cv = comm[u], comm[v]
-        key = (cu, cv) if cu <= cv else (cv, cu)
-        acc[key] = acc.get(key, 0.0) + w
-    return [(u, v, w) for (u, v), w in sorted(acc.items())]
 
 
 def write_communities_csv(partition: CommunityPartition, path: str | Path) -> None:

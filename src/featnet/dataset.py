@@ -67,7 +67,9 @@ class FeatureTable:
         if labels.shape != (rows.shape[0],):
             raise SchemaError(f"{labels.shape[0]} labels for {rows.shape[0]} rows")
 
-        bad = np.argwhere(~np.isin(rows, FEATURE_VALUES))
+        # on int64 codes these comparisons pick exactly the values outside
+        # FEATURE_VALUES and LABEL_VALUES; np.abs would pass INT64_MIN
+        bad = np.argwhere((rows < -1) | (rows > 1))
         if bad.size:
             r, c = bad[0]
             raise DomainError(
@@ -75,7 +77,7 @@ class FeatureTable:
                 row=int(r) + 1,
                 column=names[c],
             )
-        bad_label = np.argwhere(~np.isin(labels, LABEL_VALUES))
+        bad_label = np.argwhere((labels != -1) & (labels != 1))
         if bad_label.size:
             r = int(bad_label[0][0])
             raise DomainError(

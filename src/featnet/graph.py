@@ -27,7 +27,7 @@ GAMMA_METHODS = ("loglog_ols", "mle")
 
 
 class WeightedGraph:
-    """Undirected weighted graph without self-loops.
+    """Undirected weighted graph without self-loops, with finite edge weights.
 
     Node order is significant (community detection iterates it) and follows
     the order given at construction, which for similarity graphs is the
@@ -51,9 +51,12 @@ class WeightedGraph:
             i, j = index[u], index[v]
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+            w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u!r}, {v!r}) has non-finite weight {w!r}")
             seen.update(((i, j), (j, i)))
             ends.append((i, j))
-            weight.append(float(w))
+            weight.append(w)
         self.src, self.dst = np.array(ends, dtype=np.intp).reshape(-1, 2).T
         self.weight = np.array(weight, dtype=np.float64)
 

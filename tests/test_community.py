@@ -104,6 +104,13 @@ def test_weak_triangles_split():
     assert part.modularity == pytest.approx(best_q, abs=1e-9)
 
 
+def test_gain_ties_go_to_smallest_community():
+    # on a ring of equal weights each node's two neighbours offer equal gains
+    ring = WeightedGraph(list("abcdef"), [(x, y, 1.0) for x, y in zip("abcdef", "bcdefa")])
+    part = louvain(ring)
+    assert part.assignment == {"a": 0, "b": 0, "c": 1, "d": 1, "e": 2, "f": 2}
+
+
 def test_community_ids_dense_and_ordered():
     part = louvain(two_weak_triangles())
     ids = list(part.assignment.values())

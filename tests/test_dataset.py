@@ -55,16 +55,24 @@ def test_balanced_toy_proportions(toy_table):
     assert props == {-1: (2, 0.5), 1: (2, 0.5)}
 
 
-def test_out_of_range_cell_is_domain_error():
+OUT_OF_RANGE = (-2, 2, -9223372036854775808)
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE)
+def test_out_of_range_cell_is_domain_error(value):
     with pytest.raises(DomainError) as err:
-        loads_csv("a,b,Result\n1,2,1\n")
-    assert "2" in str(err.value)
+        loads_csv(f"a,b,Result\n1,0,1\n1,{value},1\n")
+    assert f"cell value {value} " in str(err.value)
     assert "'b'" in str(err.value)
+    assert err.value.row == 2
 
 
-def test_out_of_range_label_is_domain_error():
-    with pytest.raises(DomainError):
-        loads_csv("a,b,Result\n1,1,0\n")
+@pytest.mark.parametrize("value", (0,) + OUT_OF_RANGE)
+def test_out_of_range_label_is_domain_error(value):
+    with pytest.raises(DomainError) as err:
+        loads_csv(f"a,b,Result\n1,1,1\n1,1,{value}\n")
+    assert f"label value {value} " in str(err.value)
+    assert err.value.row == 2
 
 
 def test_non_integer_cell_is_parse_error():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from featnet import (
+    FeatureTable,
+    Partition,
     WeightedGraph,
     build_graph,
     degree_distribution,
@@ -15,7 +17,9 @@ from featnet import (
     louvain,
     maximum_spanning_tree,
     modularity,
+    partition,
 )
+from featnet import correlation
 from featnet.correlation import SimilarityMatrix
 from featnet.errors import DegenerateDistribution, FeatnetError, MissingCommunity
 from featnet.graph import _quoteattr, write_dot, write_graphml
@@ -77,6 +81,14 @@ def test_graph_rejects_self_loops_and_duplicates():
         WeightedGraph(["a"], [("a", "a", 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 0.5)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_graph_rejects_non_finite_weights(bad):
+    # a NaN edge used to drop silently out of the spanning tree, and Louvain
+    # reported modularity 0.0
+    with pytest.raises(ValueError, match="non-finite weight"):
+        WeightedGraph(["a", "b", "c"], [("a", "b", bad), ("b", "c", 1.0), ("a", "c", 0.5)])
 
 
 # --- maximum spanning tree ---------------------------------------------------
@@ -233,6 +245,44 @@ def test_build_graph_equals_dict_oracle(k, seed):
     tree = maximum_spanning_tree(g)
     assert (tree.edges, tree.degree, tree.total_weight, tree.provably_unique) == kruskal_dict(oracle)
     part = louvain(g)
+    assert (part.assignment, part.modularity, part.levels) == louvain_dict(oracle)
+
+
+def similarity_graph(table):
+    corr = correlation.spearman_matrix(table)
+    return build_graph(correlation.to_similarity(correlation.to_distance(corr)))
+
+
+def latent_group_table(seed, k, n=400, groups=10):
+    """{-1, 0, 1} codes of k features that each load on one of ``groups``
+    latent factors, cut at per-feature thresholds."""
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((n, groups))
+    group = rng.permutation(np.arange(k) % groups)
+    loading = rng.uniform(0.3, 0.8, k)
+    latent = loading * factors[:, group] + np.sqrt(1.0 - loading**2) * rng.standard_normal((n, k))
+    low, high = rng.uniform(-1.2, -0.2, k), rng.uniform(0.2, 1.2, k)
+    codes = (latent > high).astype(np.int64) - (latent < low).astype(np.int64)
+    labels = np.where(factors[:, 0] > 0, 1, -1)
+    return FeatureTable(tuple(f"f{j}" for j in range(k)), codes, labels)
+
+
+@pytest.mark.parametrize("sel", list(Partition))
+def test_louvain_equals_dict_oracle_on_reference(reference_table, sel):
+    g = similarity_graph(partition(reference_table, sel))
+    part = louvain(g)
+    oracle = DictGraph(g.nodes, g.edges)
+    assert (part.assignment, part.modularity, part.levels) == louvain_dict(oracle)
+
+
+@pytest.mark.parametrize("k, levels", [(60, 3), (120, 2)])
+def test_louvain_equals_dict_oracle_on_latent_groups(k, levels):
+    # larger graphs than the hypothesis strategy draws, aggregated over
+    # several levels with self-loops on the super-nodes
+    g = similarity_graph(latent_group_table(0, k))
+    part = louvain(g)
+    oracle = DictGraph(g.nodes, g.edges)
+    assert part.levels == levels
     assert (part.assignment, part.modularity, part.levels) == louvain_dict(oracle)
 
 
