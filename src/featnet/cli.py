@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .correlation import CORRELATION_MODES
 from .errors import FeatnetError
 from .evaluation import GBTParams
 from .pipeline import (
@@ -53,11 +54,9 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--partitions",
             default=",".join(PARTITION_ORDER),
-            help="comma-separated subset of all,legitimate,phishing",
+            help=f"comma-separated subset of {','.join(PARTITION_ORDER)}",
         )
-        p.add_argument(
-            "--corr-mode", default="tie_aware", choices=["tie_aware", "literal_formula"]
-        )
+        p.add_argument("--corr-mode", default="tie_aware", choices=CORRELATION_MODES)
         p.add_argument("--hub-threshold", type=int, default=2)
 
     analyze = sub.add_parser("analyze", help="run the full network pipeline")

@@ -63,6 +63,8 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     two_m = _sum_in_order(strength)
     if two_m <= 0.0:
         raise ValueError("modularity needs positive total edge weight")
+    if not np.isfinite(two_m * two_m):  # (2m)^2 bounds every strength product
+        raise FeatnetError(f"total edge weight {two_m / 2.0!r} is too large for modularity")
     comm = np.array([assignment[n] for n in g.nodes])
     # each undirected edge appears twice in the ij sum
     edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
@@ -129,8 +131,8 @@ def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -
     comm = np.arange(n)
     if m <= 0.0:
         return comm
-    if 2.0 * m * m == 0.0:
-        raise FeatnetError(f"total edge weight {m!r} is too small for the modularity gain")
+    if 2.0 * m * m == 0.0 or not np.isfinite(4.0 * m * m):  # (2m)^2 bounds strength products
+        raise FeatnetError(f"total edge weight {m!r} is too small or too large for the gain")
     order = np.argsort(start, kind="stable")
     bounds = np.cumsum(np.bincount(start, minlength=n))[:-1]
     neighbors = np.split(end[order], bounds)

@@ -20,6 +20,8 @@ from .errors import DegenerateLabels, RankDeficient
 
 EPS = 1e-12
 _LEAF_THRESHOLD = np.iinfo(np.int32).max  # every bin is <= it: a leaf keeps its rows
+# a row goes to `left` if its bin is <= `bin`, else to left + 1; a leaf is its own left
+_NODE = np.dtype([("feature", "i4"), ("bin", "i4"), ("left", "i4"), ("value", "f8")])
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,11 @@ class GradientBoostedTrees:
     def __init__(self, params: GBTParams | None = None):
         self.params = params or GBTParams()
         self.bin_edges_: list[np.ndarray] | None = None
-        self.trees_: list[tuple] = []
         self.base_score_: float = 0.0
         self.loss_curve_: list[float] = []
-        self._flat_trees: tuple | None = None  # _tree_arrays(trees_), set by fit
+        self._nodes = np.empty(0, _NODE)  # every tree's nodes, breadth-first per tree
+        self._roots = np.empty(0, np.int32)  # each tree's root in _nodes
+        self._depth = 0  # depth of the deepest leaf
 
     def fit(
         self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None
@@ -82,19 +85,30 @@ class GradientBoostedTrees:
         p0 = float(np.clip((weight * y).sum() / weight.sum(), 1e-6, 1 - 1e-6))
         self.base_score_ = float(np.log(p0 / (1.0 - p0)))
         margin = np.full(len(y), self.base_score_)
-        self.trees_ = []
-        self.loss_curve_ = []
+        self.loss_curve_, nodes, roots, self._depth = [], [], [], 0
         for _ in range(self.params.n_rounds):
             prob = _sigmoid(margin)
             self.loss_curve_.append(_log_loss(y, prob, weight))
-            tree, leaf_values = self._grow_tree(
-                binned, (prob - y) * weight, prob * (1.0 - prob) * weight
+            roots.append(len(nodes))
+            leaf_values, depth = self._grow_tree(
+                binned, (prob - y) * weight, prob * (1.0 - prob) * weight, nodes
             )
-            self.trees_.append(tree)
+            self._depth = max(self._depth, depth)
             margin += self.params.learning_rate * leaf_values
         self.loss_curve_.append(_log_loss(y, _sigmoid(margin), weight))
-        self._flat_trees = _tree_arrays(self.trees_)
+        self._nodes = np.fromiter(nodes, _NODE, len(nodes))
+        self._roots = np.array(roots, dtype=np.int32)
         return self
+
+    @property
+    def trees_(self) -> list[tuple]:
+        """Each tree as ("leaf", value) / ("split", feature, bin, left, right) tuples."""
+        feat, thr, left, value = (self._nodes[name].tolist() for name in _NODE.names)
+        tree: list = [None] * len(left)
+        for i in reversed(range(len(left))):  # children come after their parent
+            j = left[i]
+            tree[i] = ("leaf", value[i]) if j == i else ("split", feat[i], thr[i], *tree[j : j + 2])
+        return [tree[root] for root in self._roots.tolist()]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Route the distinct binned rows through all trees at once.
@@ -108,10 +122,10 @@ class GradientBoostedTrees:
         binned, inverse = np.unique(
             self._bin(np.asarray(X, dtype=np.float64)), axis=0, return_inverse=True
         )
-        feat, thr, left, value, depth = self._flat_trees
+        feat, thr, left, value = (self._nodes[name] for name in _NODE.names)
         rows = np.arange(len(binned))
-        node = np.arange(len(self.trees_), dtype=np.int32)[:, None]  # roots; widens to all rows
-        for _ in range(depth):
+        node = self._roots[:, None]  # widens to one column per row
+        for _ in range(self._depth):
             node = left[node] + (binned[rows, feat[node]] > thr[node])
         margin = np.full(len(binned), self.base_score_)
         for tree_nodes in node:
@@ -137,16 +151,20 @@ class GradientBoostedTrees:
             binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
         return binned
 
-    def _grow_tree(self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray):
-        """Grow one tree level by level; return it and each row's leaf value.
+    def _grow_tree(
+        self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray, nodes: list
+    ) -> tuple[np.ndarray, int]:
+        """Append one tree to ``nodes``; return each row's leaf value and the depth.
 
-        Each open node keeps its rows as an ascending index array.  One pair
-        of ``bincount`` calls over keys node·(d·B) + j·B + bin fills the
-        gradient and hessian histograms of a whole level.  It adds each bin's
-        rows in index order, so every histogram equals a per-node one bit for
-        bit.  Node sums stay numpy's pairwise ``grad[idx].sum()``; histogram
-        totals differ in the last bit.  Ties go to the first feature, then
-        the first bin; a split needs a gain above EPS.
+        The tree is grown level by level and stored breadth-first as ``_NODE``
+        rows with child indices into ``nodes``; the depth is the deepest leaf's.
+        Each open node keeps its rows as an ascending index array.  One pair of
+        ``bincount`` calls over keys node·(d·B) + j·B + bin fills the gradient
+        and hessian histograms of a whole level.  It adds each bin's rows in
+        index order, so every histogram equals a per-node one bit for bit.
+        Node sums stay numpy's pairwise ``grad[idx].sum()``; histogram totals
+        differ in the last bit.  Ties go to the first feature, then the first
+        bin; a split needs a gain above EPS.
         """
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
         n, d = binned.shape
@@ -157,9 +175,8 @@ class GradientBoostedTrees:
         unsplittable = np.arange(width - 1) >= (n_bins - 1)[:, None]
         weights = (np.repeat(grad, d), np.repeat(hess, d))
         leaf_values = np.empty(n)
-        nodes: list = [None]  # ("leaf", value) or (feature, bin, left id, right id)
-        level = [(0, np.arange(n))]
-        for depth in range(max_depth + 1):
+        level, size = [(len(nodes), np.arange(n))], len(nodes) + 1
+        for depth in range(max_depth + 1):  # the level at max_depth does not split
             level = [(i, idx, float(grad[idx].sum()), float(hess[idx].sum())) for i, idx in level]
             grow = [node for node in level if len(node[1]) >= 2] if depth < max_depth else []
             splits = {}
@@ -190,43 +207,19 @@ class GradientBoostedTrees:
                     if feat_gain[k, j] > EPS:
                         splits[node_id] = (j, int(gain[k, j].argmax()))
             next_level = []
-            for node_id, idx, g_sum, h_sum in level:
+            for node_id, idx, g_sum, h_sum in level:  # node_id == len(nodes)
                 if node_id not in splits:
-                    nodes[node_id] = ("leaf", -g_sum / (h_sum + lam))
-                    leaf_values[idx] = nodes[node_id][1]
+                    nodes.append((0, _LEAF_THRESHOLD, node_id, -g_sum / (h_sum + lam)))
+                    leaf_values[idx] = nodes[-1][3]
                     continue
                 j, b = splits[node_id]
                 mask = binned[idx, j] <= b
-                nodes[node_id] = (j, b, len(nodes), len(nodes) + 1)
-                next_level += [(len(nodes), idx[mask]), (len(nodes) + 1, idx[~mask])]
-                nodes += [None, None]
+                nodes.append((j, b, size, 0.0))
+                next_level += [(size, idx[mask]), (size + 1, idx[~mask])]
+                size += 2
+            if not next_level:
+                return leaf_values, depth
             level = next_level
-        # children come after their parent, so build the tuples back to front
-        for node_id in range(len(nodes) - 1, -1, -1):
-            if nodes[node_id][0] != "leaf":
-                j, b, lo, hi = nodes[node_id]
-                nodes[node_id] = ("split", j, b, nodes[lo], nodes[hi])
-        return nodes[0], leaf_values
-
-
-def _tree_arrays(trees: list[tuple]):
-    """Flatten tree tuples breadth-first into (feature, threshold, left, value).
-
-    Roots come first, in tree order.  A split's right child sits right after
-    its left child; a leaf is its own left child with an unreachable
-    threshold, so a row that reached it stays there.  Also returns the depth
-    of the deepest leaf.
-    """
-    nodes, columns, depth = list(trees), [], [0] * len(trees)
-    for i, node in enumerate(nodes):  # the loop also visits appended children
-        if node[0] == "leaf":
-            columns.append((0, _LEAF_THRESHOLD, i, node[1]))
-        else:
-            columns.append((node[1], node[2], len(nodes), 0.0))
-            nodes += node[3:]
-            depth += [depth[i] + 1] * 2
-    table = np.array(columns, dtype=np.float64).reshape(-1, 4)
-    return (*table[:, :3].T.astype(np.int32), table[:, 3], max(depth, default=0))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -248,22 +248,14 @@ def write_degree_distribution_csv(
 
 
 def write_dot(
-    tree: SpanningTree,
-    path: str | Path,
-    communities: Mapping[str, int] | None = None,
-    hubs: Iterable[str] = (),
+    tree: SpanningTree, path: str | Path, communities: Mapping[str, int], hubs: Iterable[str]
 ) -> None:
     """Graphviz DOT export; hub nodes are drawn as boxes."""
     hub_set = set(hubs)
     lines = ["graph feature_network {"]
     for n in tree.nodes:
-        attrs = []
-        if communities is not None:
-            attrs.append(f"community={int(communities[n])}")
-        if n in hub_set:
-            attrs.append("shape=box")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{n}"{suffix};')
+        shape = ", shape=box" if n in hub_set else ""
+        lines.append(f'  "{n}" [community={int(communities[n])}{shape}];')
     for u, v, w in tree.edges:
         lines.append(f'  "{u}" -- "{v}" [weight="{w:.6f}"];')
     lines.append("}")
@@ -290,10 +282,7 @@ def _quoteattr(text: str) -> str:
 
 
 def write_graphml(
-    tree: SpanningTree,
-    path: str | Path,
-    communities: Mapping[str, int] | None = None,
-    hubs: Iterable[str] = (),
+    tree: SpanningTree, path: str | Path, communities: Mapping[str, int], hubs: Iterable[str]
 ) -> None:
     """GraphML export carrying community, hub flag, and edge weight."""
     hub_set = set(hubs)
@@ -307,8 +296,7 @@ def write_graphml(
     ]
     for n in tree.nodes:
         out.append(f"    <node id={_quoteattr(n)}>")
-        if communities is not None:
-            out.append(f'      <data key="community">{int(communities[n])}</data>')
+        out.append(f'      <data key="community">{int(communities[n])}</data>')
         out.append(
             f'      <data key="hub">{"true" if n in hub_set else "false"}</data>'
         )

@@ -25,7 +25,7 @@ from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write
 
 SCHEMA_VERSION = 1
 
-PARTITION_ORDER = ("all", "legitimate", "phishing")
+PARTITION_ORDER = tuple(p.value for p in Partition)
 
 # the files analyze writes in each partition directory
 ANALYZE_FILES = ("hubs.csv", "communities.csv", "mst.dot", "mst.graphml", "degree_dist.csv")
@@ -285,16 +285,15 @@ class EvalComparison:
         }
 
 
-def run_eval(cfg: PipelineConfig, features: list[str] | None = None) -> EvalComparison:
+def run_eval(cfg: PipelineConfig) -> EvalComparison:
     """Compare hub-feature accuracy against a PCA baseline over seed sweeps.
 
-    ``features`` defaults to the config's eval_features, or failing that to
+    The hub features are the config's eval_features or, when it names none,
     the connected-hub selection computed from the all-websites tree.
     """
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
-    if features is None:
-        features = list(cfg.eval_features) if cfg.eval_features else None
-    if features is None:
+    features = cfg.eval_features
+    if not features:
         arts = analyze_partition(table, cfg, "all")
         features = select_connected_hubs(arts.tree, threshold=cfg.hub_threshold)
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from featnet.cli import main
+from featnet.cli import _build_parser, _config_from_args, main
+from featnet.evaluation import GBTParams
+from featnet.pipeline import PipelineConfig
 
 from .test_pipeline import synthetic_csv
 
@@ -23,6 +25,18 @@ def test_import_leaves_out_network_modules():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, out_dir",
+    [("analyze", "o"), ("export", "o"), ("eval", None), ("stability", None)],
+)
+def test_cli_defaults_equal_library_defaults(command, out_dir):
+    # the defaults are written twice, in the parser and in PipelineConfig/GBTParams
+    argv = [command, "--input", "d.arff"] + (["--out", out_dir] if out_dir else [])
+    cfg = _config_from_args(_build_parser().parse_args(argv))
+    assert cfg == PipelineConfig(input_path="d.arff", out_dir=out_dir)
+    assert cfg.gbt == GBTParams()
 
 
 def test_usage_error_exit_code(capsys):

@@ -184,6 +184,23 @@ def test_underflowing_total_weight_is_typed_error():
         louvain(g)
 
 
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        # the strength sum overflows to inf
+        ("abc", [("a", "b", 1e308), ("b", "c", 1e308), ("a", "c", 1.0)]),
+        # (2m)^2 overflows although every strength is finite
+        ("abcd", [("a", "b", 1e200), ("c", "d", 1e200), ("b", "c", 1.0)]),
+    ],
+)
+def test_overflowing_total_weight_is_typed_error(nodes, edges):
+    g = WeightedGraph(list(nodes), edges)
+    with pytest.raises(FeatnetError, match="too large"):
+        louvain(g)
+    with pytest.raises(FeatnetError, match="too large"):
+        modularity(g, {x: 0 for x in g.nodes})
+
+
 def test_local_move_gain_formula_is_exact():
     # the incremental gain the optimizer uses must equal the true Q delta
     rng = np.random.default_rng(99)

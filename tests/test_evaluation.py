@@ -173,6 +173,16 @@ def assert_matches_recursive_oracle(x_train, y_train, x_test, params):
         assert np.array_equal(model.predict_proba(data), predict_proba(data))
 
 
+def test_shallow_last_tree_matches_recursive_oracle():
+    # the hessians shrink until min_child_weight blocks every split, so the
+    # last tree is one leaf after two trees of depth 2: prediction must walk
+    # as deep as the deepest tree, not as the last one
+    X, y = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 0.0, 1.0])
+    params = GBTParams(n_rounds=3, learning_rate=0.7, max_depth=2, min_child_weight=0.25)
+    assert GradientBoostedTrees(params).fit(X, y).trees_[-1][0] == "leaf"
+    assert_matches_recursive_oracle(X, y, X, params)
+
+
 HUB_FEATURES = [
     "SSLfinal_State",
     "Shortining_Service",
