@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .correlation import CORRELATION_MODES
@@ -34,99 +35,92 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
-
-class _UsageError(Exception):
-    pass
+# each option's dest names the setting it fills; an option not given keeps its default
+_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
+_GBT_FIELDS = {f.name for f in fields(GBTParams)}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise argparse.ArgumentError(None, message)
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated list, blank items dropped."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="featnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--input": dict(dest="input_path", metavar="INPUT", required=True,
+                        help="dataset file (CSV or ARFF)"),
+        "--format": dict(dest="fmt", choices=["csv", "arff", "auto"]),
+        "--partitions": dict(type=_names,
+                             help=f"comma-separated subset of {','.join(PARTITION_ORDER)}"),
+        "--corr-mode": dict(dest="correlation_mode", choices=CORRELATION_MODES),
+        "--hub-threshold": dict(type=int),
+    }
 
-    def common(p):
-        p.add_argument("--input", required=True, help="dataset file (CSV or ARFF)")
-        p.add_argument("--format", default="auto", choices=["csv", "arff", "auto"])
-        p.add_argument(
-            "--partitions",
-            default=",".join(PARTITION_ORDER),
-            help=f"comma-separated subset of {','.join(PARTITION_ORDER)}",
-        )
-        p.add_argument("--corr-mode", default="tie_aware", choices=CORRELATION_MODES)
-        p.add_argument("--hub-threshold", type=int, default=2)
+    def subcommand(name, help, *flags):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    analyze = sub.add_parser("analyze", help="run the full network pipeline")
-    common(analyze)
-    analyze.add_argument("--out", required=True, help="output directory")
+    def out(p, help, required=False):
+        p.add_argument("--out", dest="out_dir", metavar="OUT", required=required, help=help)
 
-    evalp = sub.add_parser("eval", help="hub features vs PCA baseline")
-    common(evalp)
+    analyze = subcommand("analyze", "run the full network pipeline", *shared)
+    out(analyze, "output directory", required=True)
+
+    evalp = subcommand("eval", "hub features vs PCA baseline",
+                       "--input", "--format", "--corr-mode", "--hub-threshold")
     evalp.add_argument(
-        "--features",
-        default=None,
+        "--features", dest="eval_features", metavar="FEATURES", type=_names,
         help="comma-separated feature names; default derives them from the all-websites tree",
     )
-    evalp.add_argument("--pca-components", type=int, default=5)
-    evalp.add_argument("--train-fraction", type=float, default=0.8)
-    evalp.add_argument("--seed", type=int, default=42)
-    evalp.add_argument("--n-seeds", type=int, default=5)
-    evalp.add_argument("--rounds", type=int, default=200)
-    evalp.add_argument("--learning-rate", type=float, default=0.1)
-    evalp.add_argument("--max-depth", type=int, default=4)
-    evalp.add_argument("--out", default=None, help="write the comparison JSON here")
+    evalp.add_argument("--pca-components", dest="eval_pca_components",
+                       metavar="PCA_COMPONENTS", type=int)
+    evalp.add_argument("--train-fraction", type=float)
+    evalp.add_argument("--seed", dest="eval_seed", metavar="SEED", type=int)
+    evalp.add_argument("--n-seeds", dest="eval_n_seeds", metavar="N_SEEDS", type=int)
+    evalp.add_argument("--rounds", dest="n_rounds", metavar="ROUNDS", type=int)
+    evalp.add_argument("--learning-rate", type=float)
+    evalp.add_argument("--max-depth", type=int)
+    out(evalp, "write the comparison JSON here")
 
-    stab = sub.add_parser("stability", help="hub stability across row subsamples")
-    common(stab)
-    stab.add_argument("--n-subsamples", type=int, default=5)
-    stab.add_argument("--fraction", type=float, default=0.8)
-    stab.add_argument("--seed", type=int, default=0)
-    stab.add_argument("--out", default=None, help="write the stability JSON here")
+    stab = subcommand("stability", "hub stability across row subsamples", *shared)
+    stab.add_argument("--n-subsamples", type=int)
+    stab.add_argument("--fraction", type=float)
+    stab.add_argument("--seed", type=int)
+    out(stab, "write the stability JSON here")
 
-    export = sub.add_parser("export", help="export the three matrices as CSV")
-    common(export)
-    export.add_argument("--out", required=True, help="output directory")
+    export = subcommand("export", "export the three matrices as CSV",
+                        "--input", "--format", "--partitions", "--corr-mode")
+    out(export, "output directory", required=True)
 
     return parser
 
 
 def _config_from_args(args) -> PipelineConfig:
-    partitions = tuple(p.strip() for p in args.partitions.split(",") if p.strip())
-    kwargs = dict(
-        input_path=args.input,
-        fmt=args.format,
-        partitions=partitions,
-        correlation_mode=args.corr_mode,
-        hub_threshold=args.hub_threshold,
-        out_dir=getattr(args, "out", None),
-    )
-    if args.command == "eval":
-        kwargs.update(
-            eval_features=tuple(f.strip() for f in args.features.split(","))
-            if args.features
-            else None,
-            eval_pca_components=args.pca_components,
-            train_fraction=args.train_fraction,
-            eval_seed=args.seed,
-            eval_n_seeds=args.n_seeds,
-            gbt=GBTParams(
-                n_rounds=args.rounds,
-                learning_rate=args.learning_rate,
-                max_depth=args.max_depth,
-            ),
-        )
-    return PipelineConfig(**kwargs)
+    given = vars(args)
+    gbt = GBTParams(**{k: v for k, v in given.items() if k in _GBT_FIELDS})
+    return PipelineConfig(**{k: v for k, v in given.items() if k in _CONFIG_FIELDS}, gbt=gbt)
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _config_from_args(args)
+def _write_report(payload: dict, path: str | None) -> None:
+    if path:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(f"report written to {path}")
+
+
+def _cmd_analyze(cfg: PipelineConfig, args) -> int:
     manifest = run_pipeline(cfg)
     for outcome in manifest.partitions:
         print(f"[{outcome.partition}] {outcome.n_rows} rows")
-        print(f"  hubs (degree > {args.hub_threshold}):")
+        print(f"  hubs (degree > {cfg.hub_threshold}):")
         for hub in outcome.hubs:
             print(
                 f"    {hub['feature']:32s} degree {hub['degree']}  community {hub['community']}"
@@ -143,15 +137,13 @@ def _cmd_analyze(args) -> int:
         )
     for name, message in manifest.errors.items():
         print(f"[{name}] FAILED: {message}", file=sys.stderr)
-    print(f"outputs written to {args.out}")
+    print(f"outputs written to {cfg.out_dir}")
     return EXIT_PARTIAL if manifest.errors else EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_eval(cfg: PipelineConfig, args) -> int:
     comparison = run_eval(cfg)
-    features = comparison.hub_reports[0].subset.names
-    print(f"features: {', '.join(features)}")
+    print(f"features: {', '.join(comparison.hub_reports[0].subset.names)}")
     print(
         f"hub features : mean accuracy {comparison.hub_mean:.4f} "
         f"(std {comparison.hub_std:.4f}, {len(comparison.hub_reports)} seeds)"
@@ -161,32 +153,23 @@ def _cmd_eval(args) -> int:
         f"(std {comparison.pca_std:.4f}, {cfg.eval_pca_components} components)"
     )
     print(f"delta        : {comparison.delta:+.4f}")
-    if args.out:
-        text = json.dumps(comparison.to_dict(), indent=2) + "\n"
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"report written to {args.out}")
+    _write_report(comparison.to_dict(), cfg.out_dir)
     return EXIT_OK
 
 
-def _cmd_stability(args) -> int:
-    cfg = _config_from_args(args)
-    report = stability_check(
-        cfg, n_subsamples=args.n_subsamples, fraction=args.fraction, seed=args.seed
-    )
+def _cmd_stability(cfg: PipelineConfig, args) -> int:
+    options = {k: v for k, v in vars(args).items() if k in ("n_subsamples", "fraction", "seed")}
+    report = stability_check(cfg, **options)
     for name, entry in report["partitions"].items():
         print(
             f"[{name}] mean Jaccard vs full: {entry['mean_jaccard_vs_full']:.3f}  "
             f"pairwise: {entry['mean_pairwise_jaccard']:.3f}"
         )
-    if args.out:
-        text = json.dumps(report, indent=2) + "\n"
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"report written to {args.out}")
+    _write_report(report, cfg.out_dir)
     return EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_export(cfg: PipelineConfig, args) -> int:
     for path in export_matrices(cfg):
         print(path)
     return EXIT_OK
@@ -201,14 +184,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_config_from_args(args), args)
     except (FeatnetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -45,6 +45,16 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, values))[-1])
 
 
+def _check_total_weight(two_m: float) -> None:
+    """Refuse a total strength 2m whose square, which bounds every strength
+    product, is not a finite normal float: below it the pair terms of Q and
+    of the gain underflow, above it they overflow."""
+    square = two_m * two_m
+    if not np.finfo(np.float64).tiny <= square < np.inf:
+        size = "too small" if square < 1.0 else "too large"
+        raise FeatnetError(f"total edge weight {two_m / 2.0!r} is {size} for modularity")
+
+
 def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     """Weighted Newman-Girvan modularity of a node-to-community map.
 
@@ -63,8 +73,7 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     two_m = _sum_in_order(strength)
     if two_m <= 0.0:
         raise ValueError("modularity needs positive total edge weight")
-    if not np.isfinite(two_m * two_m):  # (2m)^2 bounds every strength product
-        raise FeatnetError(f"total edge weight {two_m / 2.0!r} is too large for modularity")
+    _check_total_weight(two_m)
     comm = np.array([assignment[n] for n in g.nodes])
     # each undirected edge appears twice in the ij sum
     edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
@@ -127,12 +136,12 @@ def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -
     strength = np.bincount(start, weights=link_weight, minlength=n) + 2.0 * np.bincount(
         src[loop], weights=weight[loop], minlength=n
     )
-    m = _sum_in_order(strength) / 2.0
+    two_m = _sum_in_order(strength)
+    m = two_m / 2.0
     comm = np.arange(n)
     if m <= 0.0:
         return comm
-    if 2.0 * m * m == 0.0 or not np.isfinite(4.0 * m * m):  # (2m)^2 bounds strength products
-        raise FeatnetError(f"total edge weight {m!r} is too small or too large for the gain")
+    _check_total_weight(two_m)
     order = np.argsort(start, kind="stable")
     bounds = np.cumsum(np.bincount(start, minlength=n))[:-1]
     neighbors = np.split(end[order], bounds)

@@ -33,6 +33,10 @@ class GBTParams:
     min_child_weight: float = 1.0
     n_bins: int = 256
 
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate < np.inf:  # False for NaN
+            raise ValueError(f"learning rate must be positive and finite: {self.learning_rate!r}")
+
 
 class GradientBoostedTrees:
     """Binary classifier: boosted regression trees on the logistic loss.

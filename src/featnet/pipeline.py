@@ -322,7 +322,7 @@ def run_eval(cfg: PipelineConfig) -> EvalComparison:
 
 
 def stability_check(
-    cfg: PipelineConfig, n_subsamples: int, fraction: float, seed: int = 0
+    cfg: PipelineConfig, n_subsamples: int = 5, fraction: float = 0.8, seed: int = 0
 ) -> dict:
     """Rerun the hub extraction on random row subsets and compare hub sets.
 

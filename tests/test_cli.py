@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from featnet.cli import _build_parser, _config_from_args, main
 from featnet.evaluation import GBTParams
-from featnet.pipeline import PipelineConfig
+from featnet.pipeline import PipelineConfig, stability_check
 
 from .test_pipeline import synthetic_csv
 
@@ -32,11 +33,66 @@ def test_import_leaves_out_network_modules():
     [("analyze", "o"), ("export", "o"), ("eval", None), ("stability", None)],
 )
 def test_cli_defaults_equal_library_defaults(command, out_dir):
-    # the defaults are written twice, in the parser and in PipelineConfig/GBTParams
+    # an option that is not given leaves its PipelineConfig/GBTParams field alone
     argv = [command, "--input", "d.arff"] + (["--out", out_dir] if out_dir else [])
     cfg = _config_from_args(_build_parser().parse_args(argv))
     assert cfg == PipelineConfig(input_path="d.arff", out_dir=out_dir)
     assert cfg.gbt == GBTParams()
+
+
+def test_parser_declares_no_defaults():
+    # every default lives in PipelineConfig, GBTParams or stability_check
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == ["analyze", "eval", "export", "stability"]
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.default is argparse.SUPPRESS, (name, action.option_strings)
+
+
+def test_option_sets_only_its_own_field():
+    args = _build_parser().parse_args(["eval", "--input", "d.arff", "--rounds", "7"])
+    assert _config_from_args(args) == PipelineConfig(input_path="d.arff", gbt=GBTParams(n_rounds=7))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--partitions", "all"],  # eval derives its hubs from all websites
+        ["export", "--hub-threshold", "3", "--out", "o"],  # export finds no hubs
+    ],
+)
+def test_subcommand_rejects_option_it_ignores(argv, capsys):
+    assert main(argv[:1] + ["--input", "d.arff"] + argv[1:]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1", "0"])
+def test_eval_rejects_learning_rate_that_is_not_positive_and_finite(tmp_path, capsys, rate):
+    data = synthetic_csv(tmp_path / "data.csv")
+    code = main(["eval", "--input", str(data), "--learning-rate", rate, "--rounds", "1"])
+    assert code == 2
+    assert "learning rate must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("features", ["", " , "])
+def test_eval_blank_feature_list_derives_hubs(tmp_path, capsys, features):
+    data = synthetic_csv(tmp_path / "data.csv", n=150, k=5, seed=9)
+    argv = ["eval", "--input", str(data), "--n-seeds", "1", "--rounds", "3"]
+    assert main(argv) == 0
+    derived = capsys.readouterr().out
+    assert main(argv + ["--features", features]) == 0
+    assert capsys.readouterr().out == derived
+
+
+def test_stability_without_options_uses_library_defaults(tmp_path, capsys):
+    data = synthetic_csv(tmp_path / "data.csv", n=90, k=4, seed=10)
+    report_path = tmp_path / "stability.json"
+    code = main(["stability", "--input", str(data), "--out", str(report_path)])
+    assert code == 0
+    expected = stability_check(PipelineConfig(input_path=str(data)))
+    assert json.loads(report_path.read_text()) == json.loads(json.dumps(expected))
+    assert (expected["n_subsamples"], expected["fraction"]) == (5, 0.8)
 
 
 def test_usage_error_exit_code(capsys):

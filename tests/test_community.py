@@ -177,11 +177,16 @@ def test_zero_weight_graph():
     assert len(set(part.assignment.values())) == 3
 
 
-def test_underflowing_total_weight_is_typed_error():
-    # 2m^2 underflows to 0 below a total weight of about 1e-154
-    g = WeightedGraph(["x", "y"], [("x", "y", 2.2e-313)])
+@pytest.mark.parametrize("w", [2.2e-313, 1e-160])
+def test_underflowing_total_weight_is_typed_error(w):
+    # (2m)^2 is below the smallest normal float: at 2.2e-313 the gain's 2m^2
+    # is 0, and at both weights the strength product underflows, so a
+    # one-community Q would come out as 1.0 or 1.1e-05 instead of 0.0
+    g = WeightedGraph(["x", "y"], [("x", "y", w)])
     with pytest.raises(FeatnetError, match="too small"):
         louvain(g)
+    with pytest.raises(FeatnetError, match="too small"):
+        modularity(g, {"x": 0, "y": 0})
 
 
 @pytest.mark.parametrize(

@@ -329,6 +329,13 @@ def test_rejects_invalid_counts(counts):
         GradientBoostedTrees(GBTParams(n_rounds=1)).fit(X, np.array([0.0, 1.0, 0.0, 1.0]), counts)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+def test_rejects_learning_rate_that_is_not_positive_and_finite(rate):
+    # nan and inf fitted constant predictions, and -1 climbed the loss
+    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        GBTParams(learning_rate=rate)
+
+
 # --- splits and evaluation ----------------------------------------------------
 
 def test_stratified_split_properties():
