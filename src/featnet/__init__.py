@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .community import CommunityPartition, louvain, modularity
 from .correlation import (
     CorrelationMatrix,
-    DistanceMatrix,
-    SimilarityMatrix,
     rank_transform,
     spearman_matrix,
     to_distance,
@@ -31,7 +29,6 @@ from .evaluation import (
 )
 from .graph import (
     GammaEstimate,
-    HubReport,
     SpanningTree,
     WeightedGraph,
     build_graph,
@@ -53,7 +50,6 @@ from .pipeline import (
 __all__ = [
     "CommunityPartition",
     "CorrelationMatrix",
-    "DistanceMatrix",
     "EvalComparison",
     "EvalReport",
     "FeatureSubsetSpec",
@@ -61,12 +57,10 @@ __all__ = [
     "GBTParams",
     "GammaEstimate",
     "GradientBoostedTrees",
-    "HubReport",
     "Partition",
     "PipelineConfig",
     "PowerIterationPCA",
     "RunManifest",
-    "SimilarityMatrix",
     "SpanningTree",
     "WeightedGraph",
     "build_graph",

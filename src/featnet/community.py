@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -23,19 +22,21 @@ DEFAULT_MIN_GAIN = 1e-9
 
 @dataclass(frozen=True)
 class CommunityPartition:
-    # feature -> community id; ids are dense 0..c-1, numbered by first
-    # appearance in graph node order
-    assignment: Mapping[str, int]
+    nodes: tuple[str, ...]
+    # community id of each node, in node order; ids are dense 0..c-1,
+    # numbered by first appearance in graph node order
+    assignment: np.ndarray
     modularity: float
     levels: int
 
     @property
     def n_communities(self) -> int:
-        return len(set(self.assignment.values()))
+        return len(set(self.assignment.tolist()))
 
     def members(self) -> dict[int, list[str]]:
+        """Community id -> its node names, in node order."""
         out: dict[int, list[str]] = {}
-        for node, cid in self.assignment.items():
+        for node, cid in zip(self.nodes, self.assignment.tolist()):
             out.setdefault(cid, []).append(node)
         return out
 
@@ -55,8 +56,9 @@ def _check_total_weight(two_m: float) -> None:
         raise FeatnetError(f"total edge weight {two_m / 2.0!r} is {size} for modularity")
 
 
-def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
-    """Weighted Newman-Girvan modularity of a node-to-community map.
+def modularity(g: WeightedGraph, assignment: np.ndarray) -> float:
+    """Weighted Newman-Girvan modularity of the community id of each node,
+    given in node order.
 
     Q = (1/2m) * sum_ij [w_ij - k_i*k_j/2m] * delta(c_i, c_j), where k is
     node strength and 2m the total strength.  Assigning every node to one
@@ -64,9 +66,9 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     fixed order (a node's edges in edge order, then the edge terms of Q,
     then its node-pair terms row by row), so Q is reproducible to the bit.
     """
-    uncovered = [n for n in g.nodes if n not in assignment]
-    if uncovered:
-        raise UncoveredNode(f"no community for nodes: {uncovered}")
+    comm = np.asarray(assignment)
+    if comm.shape != (g.n_nodes,):
+        raise UncoveredNode(f"community ids of shape {comm.shape} for {g.n_nodes} nodes")
     # bincount adds each node's incident edges in edge order
     ends = np.column_stack((g.src, g.dst)).ravel()
     strength = np.bincount(ends, weights=np.repeat(g.weight, 2), minlength=g.n_nodes)
@@ -74,7 +76,6 @@ def modularity(g: WeightedGraph, assignment: Mapping[str, int]) -> float:
     if two_m <= 0.0:
         raise ValueError("modularity needs positive total edge weight")
     _check_total_weight(two_m)
-    comm = np.array([assignment[n] for n in g.nodes])
     # each undirected edge appears twice in the ij sum
     edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
     pair_terms = (strength[:, None] * strength[None, :] / two_m)[comm[:, None] == comm[None, :]]
@@ -119,9 +120,8 @@ def louvain(g: WeightedGraph) -> CommunityPartition:
         if n == 1:
             break
 
-    assignment = dict(zip(g.nodes, membership.tolist()))
-    q = modularity(g, assignment) if _sum_in_order(g.weight) > 0 else 0.0
-    return CommunityPartition(assignment=assignment, modularity=q, levels=levels)
+    q = modularity(g, membership) if _sum_in_order(g.weight) > 0 else 0.0
+    return CommunityPartition(nodes=g.nodes, assignment=membership, modularity=q, levels=levels)
 
 
 def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -175,5 +175,4 @@ def write_communities_csv(partition: CommunityPartition, path: str | Path) -> No
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "community"])
-        for feature, cid in partition.assignment.items():
-            writer.writerow([feature, cid])
+        writer.writerows(zip(partition.nodes, partition.assignment.tolist()))

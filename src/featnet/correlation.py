@@ -19,7 +19,7 @@ up to about 1.9e5.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,24 +32,15 @@ CORRELATION_MODES = ("tie_aware", "literal_formula")
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
+    """A feature-by-feature matrix: Spearman correlations, or the distances
+    or similarities derived from them.  ``mode`` and ``warnings`` describe
+    the correlation it derives from."""
+
     feature_names: tuple[str, ...]
     values: np.ndarray
-    n_instances: int
     mode: str = "tie_aware"
     # (feature, reason) for columns whose correlations were forced to 0
     warnings: tuple[tuple[str, str], ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    feature_names: tuple[str, ...]
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    feature_names: tuple[str, ...]
-    values: np.ndarray
 
 
 def rank_transform(column) -> np.ndarray:
@@ -116,32 +107,30 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
     return CorrelationMatrix(
         feature_names=table.feature_names,
         values=values,
-        n_instances=n,
         mode=mode,
         warnings=warnings,
     )
 
 
-def to_distance(corr: CorrelationMatrix) -> DistanceMatrix:
+def to_distance(corr: CorrelationMatrix) -> CorrelationMatrix:
     """d = sqrt(2 * (1 - rho)) elementwise; float-error radicands clamp to 0."""
     values = np.sqrt(np.maximum(2.0 * (1.0 - corr.values), 0.0))
     values.flags.writeable = False
-    return DistanceMatrix(feature_names=corr.feature_names, values=values)
+    return replace(corr, values=values)
 
 
-def to_similarity(dist: DistanceMatrix) -> SimilarityMatrix:
+def to_similarity(dist: CorrelationMatrix) -> CorrelationMatrix:
     """s = exp(-d) elementwise, mapping d in [0, 2] onto [exp(-2), 1]."""
     values = np.exp(-dist.values)
     values.flags.writeable = False
-    return SimilarityMatrix(feature_names=dist.feature_names, values=values)
+    return replace(dist, values=values)
 
 
-def write_matrix_csv(
-    names: tuple[str, ...], values: np.ndarray, path: str | Path
-) -> None:
+def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
     """Export a named square matrix with full-precision (repr) floats."""
+    names = matrix.feature_names
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([""] + list(names))
-        for name, row in zip(names, values):
+        for name, row in zip(names, matrix.values):
             writer.writerow([name] + [repr(float(v)) for v in row])

@@ -43,10 +43,6 @@ class TooFewRows(FeatnetError):
     """Not enough rows for the requested statistic."""
 
 
-class MissingCommunity(FeatnetError):
-    """A tree node has no community assignment."""
-
-
 class UncoveredNode(FeatnetError):
     """A partition does not cover every graph node."""
 

@@ -1,13 +1,16 @@
 """Weighted feature graphs: construction, maximum spanning tree, hubs, gamma.
 
 A graph is its node names plus three edge arrays: ``src`` and ``dst`` hold
-positions in ``nodes`` and ``weight`` the edge weights.  Names are attached
-only where results leave the module (``edges``, spanning-tree edges and
-degrees).  The spanning tree comes from Kruskal's algorithm over edges
-sorted by descending weight, with an integer union-find list for cycle
-detection.  Weight ties are broken by the (lower, higher) rank of the
-endpoint names in sorted name order, which is the lexicographic
-(min-name, max-name) pair, so repeated runs produce identical trees.
+positions in ``nodes`` and ``weight`` the edge weights.  The spanning tree
+is the same three arrays over the chosen edges, its degrees are one int
+array in node order, and hubs are node positions.  Names are attached only
+where results leave the package: the named ``edges`` of graphs and trees,
+the export writers and the run manifest.  The spanning tree comes from
+Kruskal's algorithm over edges sorted by descending weight, with an integer
+union-find list for cycle detection.  Weight ties are broken by the (lower,
+higher) rank of the endpoint names in sorted name order, which is the
+lexicographic (min-name, max-name) pair, so repeated runs produce identical
+trees.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .correlation import SimilarityMatrix
-from .errors import DegenerateDistribution, MissingCommunity
+from .correlation import CorrelationMatrix
+from .errors import DegenerateDistribution, UncoveredNode
 
 GAMMA_METHODS = ("loglog_ols", "mle")
 
@@ -71,14 +74,16 @@ class WeightedGraph:
     @property
     def edges(self) -> tuple[tuple[str, str, float], ...]:
         """Named ``(u, v, w)`` triples in edge order."""
-        names = self.nodes
-        return tuple(
-            (names[i], names[j], w)
-            for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weight.tolist())
-        )
+        return _named_edges(self.nodes, self.src, self.dst, self.weight)
 
 
-def build_graph(sim: SimilarityMatrix) -> WeightedGraph:
+def _named_edges(nodes, src, dst, weight) -> tuple[tuple[str, str, float], ...]:
+    return tuple(
+        (nodes[i], nodes[j], w) for i, j, w in zip(src.tolist(), dst.tolist(), weight.tolist())
+    )
+
+
+def build_graph(sim: CorrelationMatrix) -> WeightedGraph:
     """Complete graph over the features; edge (i, j) carries sim[i][j]."""
     k = len(sim.feature_names)
     if k < 2:
@@ -91,30 +96,49 @@ def build_graph(sim: SimilarityMatrix) -> WeightedGraph:
 
 @dataclass(frozen=True)
 class SpanningTree:
+    """Tree edge i joins ``nodes[src[i]]`` and ``nodes[dst[i]]`` with
+    ``weight[i]``, in the order Kruskal chose it; ``src`` is the endpoint
+    whose name sorts first."""
+
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]
-    degree: Mapping[str, int]
-    total_weight: float
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
     # True when all graph edge weights were distinct, which guarantees the
     # tree is the unique optimum; with ties the result is still
     # deterministic but other optimal trees may exist
     provably_unique: bool
 
+    @property
+    def degree(self) -> np.ndarray:
+        """Tree degree of each node, in node order."""
+        return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.nodes))
+
+    @property
+    def edges(self) -> tuple[tuple[str, str, float], ...]:
+        """Named ``(u, v, w)`` triples in the order Kruskal chose them."""
+        return _named_edges(self.nodes, self.src, self.dst, self.weight)
+
+    @property
+    def total_weight(self) -> float:
+        """Edge weights added left to right, in the order Kruskal chose them."""
+        return sum(self.weight.tolist())
+
 
 def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
     """Spanning tree of maximal total weight (deterministic under ties)."""
     n = g.n_nodes
+    by_rank = np.array(sorted(range(n), key=g.nodes.__getitem__), dtype=np.intp)
     rank = np.empty(n, dtype=np.intp)
-    rank[sorted(range(n), key=g.nodes.__getitem__)] = np.arange(n)
+    rank[by_rank] = np.arange(n)
     lo = np.minimum(rank[g.src], rank[g.dst])
     hi = np.maximum(rank[g.src], rank[g.dst])
     order = np.lexsort((hi, lo, -g.weight))
     ordered = g.weight[order]
-    by_rank = sorted(g.nodes)
 
     parent = list(range(n))
-    chosen: list[tuple[int, int, float]] = []
-    for a, b, w in zip(lo[order].tolist(), hi[order].tolist(), ordered.tolist()):
+    chosen: list[int] = []  # positions in ``order``
+    for e, (a, b) in enumerate(zip(lo[order].tolist(), hi[order].tolist())):
         ra, rb = a, b
         while parent[ra] != ra:
             parent[ra] = ra = parent[parent[ra]]
@@ -123,64 +147,32 @@ def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
         if ra == rb:
             continue
         parent[rb] = ra
-        chosen.append((a, b, w))
+        chosen.append(e)
         if len(chosen) == n - 1:
             break
     if len(chosen) != n - 1:
         raise ValueError("graph is not connected; no spanning tree exists")
-    degree = dict.fromkeys(g.nodes, 0)
-    for a, b, _ in chosen:
-        degree[by_rank[a]] += 1
-        degree[by_rank[b]] += 1
+    picked = order[np.array(chosen, dtype=np.intp)]
     return SpanningTree(
         nodes=g.nodes,
-        edges=tuple((by_rank[a], by_rank[b], w) for a, b, w in chosen),
-        degree=degree,
-        total_weight=sum(w for _, _, w in chosen),
+        src=by_rank[lo[picked]],
+        dst=by_rank[hi[picked]],
+        weight=g.weight[picked],
         provably_unique=bool(np.all(ordered[1:] != ordered[:-1])),
     )
 
 
-@dataclass(frozen=True)
-class HubEntry:
-    feature: str
-    degree: int
-    community: int
-
-
-@dataclass(frozen=True)
-class HubReport:
-    entries: tuple[HubEntry, ...]
-    threshold: int
-
-    def features(self) -> list[str]:
-        return [e.feature for e in self.entries]
-
-
-def find_hubs(
-    tree: SpanningTree, communities: Mapping[str, int], threshold: int = 2
-) -> HubReport:
-    """Nodes with tree degree strictly above ``threshold``.
-
-    Each hub is annotated with its community id from the full similarity
-    graph; entries are sorted by descending degree, then name.
-    """
-    missing = [n for n in tree.nodes if n not in communities]
-    if missing:
-        raise MissingCommunity(f"no community for nodes: {missing}")
-    entries = [
-        HubEntry(feature=n, degree=d, community=int(communities[n]))
-        for n, d in tree.degree.items()
-        if d > threshold
-    ]
-    entries.sort(key=lambda e: (-e.degree, e.feature))
-    return HubReport(entries=tuple(entries), threshold=threshold)
+def find_hubs(tree: SpanningTree, threshold: int = 2) -> np.ndarray:
+    """Positions of the nodes with tree degree strictly above ``threshold``,
+    by descending degree, then name."""
+    degree = tree.degree
+    hubs = np.flatnonzero(degree > threshold).tolist()
+    return np.array(sorted(hubs, key=lambda i: (-degree[i], tree.nodes[i])), dtype=np.intp)
 
 
 def degree_distribution(tree: SpanningTree) -> list[tuple[int, int, float]]:
     """Observed (k, count, P(k)) triples in ascending k; P(k) sums to 1."""
-    values = np.array(sorted(tree.degree.values()))
-    ks, counts = np.unique(values, return_counts=True)
+    ks, counts = np.unique(tree.degree, return_counts=True)
     n = int(counts.sum())
     return [(int(k), int(c), int(c) / n) for k, c in zip(ks, counts)]
 
@@ -247,15 +239,26 @@ def write_degree_distribution_csv(
             writer.writerow([k, count, repr(pk)])
 
 
+def _node_labels(tree: SpanningTree, communities: np.ndarray, hubs: np.ndarray):
+    """(name, community id, is hub) of each node, in node order."""
+    if len(communities) != len(tree.nodes):
+        raise UncoveredNode(f"{len(communities)} community ids for {len(tree.nodes)} nodes")
+    is_hub = np.isin(np.arange(len(tree.nodes)), hubs)
+    return zip(tree.nodes, communities.tolist(), is_hub.tolist())
+
+
 def write_dot(
-    tree: SpanningTree, path: str | Path, communities: Mapping[str, int], hubs: Iterable[str]
+    tree: SpanningTree, path: str | Path, communities: np.ndarray, hubs: np.ndarray
 ) -> None:
-    """Graphviz DOT export; hub nodes are drawn as boxes."""
-    hub_set = set(hubs)
+    """Graphviz DOT export; hub nodes are drawn as boxes.
+
+    ``communities`` holds each node's community id in node order and
+    ``hubs`` the hub positions.
+    """
     lines = ["graph feature_network {"]
-    for n in tree.nodes:
-        shape = ", shape=box" if n in hub_set else ""
-        lines.append(f'  "{n}" [community={int(communities[n])}{shape}];')
+    for n, cid, hub in _node_labels(tree, communities, hubs):
+        shape = ", shape=box" if hub else ""
+        lines.append(f'  "{n}" [community={cid}{shape}];')
     for u, v, w in tree.edges:
         lines.append(f'  "{u}" -- "{v}" [weight="{w:.6f}"];')
     lines.append("}")
@@ -282,10 +285,9 @@ def _quoteattr(text: str) -> str:
 
 
 def write_graphml(
-    tree: SpanningTree, path: str | Path, communities: Mapping[str, int], hubs: Iterable[str]
+    tree: SpanningTree, path: str | Path, communities: np.ndarray, hubs: np.ndarray
 ) -> None:
     """GraphML export carrying community, hub flag, and edge weight."""
-    hub_set = set(hubs)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -294,12 +296,10 @@ def write_graphml(
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
         '  <graph id="feature_network" edgedefault="undirected">',
     ]
-    for n in tree.nodes:
+    for n, cid, hub in _node_labels(tree, communities, hubs):
         out.append(f"    <node id={_quoteattr(n)}>")
-        out.append(f'      <data key="community">{int(communities[n])}</data>')
-        out.append(
-            f'      <data key="hub">{"true" if n in hub_set else "false"}</data>'
-        )
+        out.append(f'      <data key="community">{cid}</data>')
+        out.append(f'      <data key="hub">{"true" if hub else "false"}</data>')
         out.append("    </node>")
     for u, v, w in tree.edges:
         out.append(f"    <edge source={_quoteattr(u)} target={_quoteattr(v)}>")
@@ -310,9 +310,10 @@ def write_graphml(
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def write_hubs_csv(report: HubReport, path: str | Path) -> None:
+def write_hubs_csv(hubs: list[dict], path: str | Path) -> None:
+    """Write the manifest's hub rows (feature, degree, community)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "degree", "community"])
-        for e in report.entries:
-            writer.writerow([e.feature, e.degree, e.community])
+        for h in hubs:
+            writer.writerow([h["feature"], h["degree"], h["community"]])

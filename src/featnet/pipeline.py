@@ -55,6 +55,12 @@ class PipelineConfig:
             raise ValueError(f"unknown partitions: {unknown}")
         if self.eval_n_seeds < 1:
             raise ValueError(f"need at least 1 evaluation seed, got {self.eval_n_seeds}")
+        if self.eval_seed < 0:
+            raise ValueError(f"eval_seed (--seed) must be non-negative, got {self.eval_seed}")
+        if self.gbt.n_rounds < 1:
+            raise ValueError(f"n_rounds (--rounds) must be at least 1, got {self.gbt.n_rounds}")
+        if self.gbt.max_depth < 0:
+            raise ValueError(f"max_depth (--max-depth) must be >= 0, got {self.gbt.max_depth}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -111,7 +117,8 @@ class PartitionArtifacts:
     outcome: PartitionOutcome
     tree: SpanningTree
     communities: CommunityPartition
-    hubs: "graph.HubReport"
+    # node positions of the hubs, in find_hubs order
+    hubs: np.ndarray
 
 
 def _correlate(table: FeatureTable, cfg: PipelineConfig, name: str):
@@ -130,8 +137,9 @@ def analyze_partition(
     g = graph.build_graph(sim)
     communities = louvain(g)
     tree = graph.maximum_spanning_tree(g)
-    hubs = graph.find_hubs(tree, communities.assignment, threshold=cfg.hub_threshold)
+    hubs = graph.find_hubs(tree, threshold=cfg.hub_threshold)
     dist = graph.degree_distribution(tree)
+    degree, community = tree.degree.tolist(), communities.assignment.tolist()
 
     gamma: dict = {}
     for method in graph.GAMMA_METHODS:
@@ -154,19 +162,19 @@ def analyze_partition(
         warnings=[list(w) for w in corr.warnings],
         tree={
             "n_nodes": len(tree.nodes),
-            "n_edges": len(tree.edges),
+            "n_edges": len(tree.weight),
             "total_weight": tree.total_weight,
             "provably_unique": tree.provably_unique,
         },
         hubs=[
-            {"feature": e.feature, "degree": e.degree, "community": e.community}
-            for e in hubs.entries
+            {"feature": g.nodes[i], "degree": degree[i], "community": community[i]}
+            for i in hubs.tolist()
         ],
         communities={
             "count": communities.n_communities,
             "modularity": communities.modularity,
             "levels": communities.levels,
-            "assignment": {n: communities.assignment[n] for n in g.nodes},
+            "assignment": dict(zip(g.nodes, community)),
         },
         gamma=gamma,
         degree_distribution=[[k, c, pk] for k, c, pk in dist],
@@ -201,16 +209,11 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             hubs_csv, communities_csv, dot, graphml, dist_csv = (
                 part_dir / f for f in ANALYZE_FILES
             )
-            hub_features = arts.hubs.features()
-            write_hubs_csv(arts.hubs, hubs_csv)
+            write_hubs_csv(arts.outcome.hubs, hubs_csv)
             write_communities_csv(arts.communities, communities_csv)
-            write_dot(
-                arts.tree, dot,
-                communities=arts.communities.assignment, hubs=hub_features,
-            )
+            write_dot(arts.tree, dot, communities=arts.communities.assignment, hubs=arts.hubs)
             write_graphml(
-                arts.tree, graphml,
-                communities=arts.communities.assignment, hubs=hub_features,
+                arts.tree, graphml, communities=arts.communities.assignment, hubs=arts.hubs
             )
             write_degree_distribution_csv(
                 arts.outcome.degree_distribution, dist_csv
@@ -253,10 +256,13 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     former.  On the all-websites tree this yields the five features used for
     classifier validation.
     """
-    top = {n for n, d in tree.degree.items() if d > threshold + 1}
-    near_top = {b for u, v, _ in tree.edges for a, b in ((u, v), (v, u)) if a in top}
-    attached = {n for n in near_top if tree.degree[n] == threshold + 1}
-    return sorted(top) + sorted(attached)
+    degree = tree.degree
+    top = degree > threshold + 1
+    # the far end of every tree edge that leaves a top node
+    near_top = np.concatenate((tree.dst[top[tree.src]], tree.src[top[tree.dst]]))
+    attached = np.intersect1d(near_top, np.flatnonzero(degree == threshold + 1))
+    names = tree.nodes
+    return sorted(names[i] for i in np.flatnonzero(top)) + sorted(names[i] for i in attached)
 
 
 @dataclass(frozen=True)
@@ -296,6 +302,8 @@ def run_eval(cfg: PipelineConfig) -> EvalComparison:
     if not features:
         arts = analyze_partition(table, cfg, "all")
         features = select_connected_hubs(arts.tree, threshold=cfg.hub_threshold)
+        if not features:
+            raise ValueError(f"hub_threshold (--hub-threshold) {cfg.hub_threshold} selects no hubs")
 
     seeds = [cfg.eval_seed + i for i in range(cfg.eval_n_seeds)]
     hub_subset = FeatureSubsetSpec.named(features)
@@ -333,12 +341,14 @@ def stability_check(
         raise ValueError(f"need at least 2 subsamples, got {n_subsamples}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if seed < 0:
+        raise ValueError(f"seed (--seed) must be non-negative, got {seed}")
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
 
     full_hubs: dict[str, set[str]] = {}
     for name in cfg.partitions:
         arts = analyze_partition(table, cfg, name)
-        full_hubs[name] = set(arts.hubs.features())
+        full_hubs[name] = {h["feature"] for h in arts.outcome.hubs}
 
     report: dict = {"n_subsamples": n_subsamples, "fraction": fraction, "partitions": {}}
     rng = np.random.default_rng(seed)
@@ -354,7 +364,7 @@ def stability_check(
         )
         for name in cfg.partitions:
             arts = analyze_partition(sub, cfg, name)
-            run_hubs[name].append(set(arts.hubs.features()))
+            run_hubs[name].append({h["feature"] for h in arts.outcome.hubs})
 
     for name in cfg.partitions:
         versus_full = [_jaccard(h, full_hubs[name]) for h in run_hubs[name]]
@@ -389,12 +399,8 @@ def export_matrices(cfg: PipelineConfig) -> list[str]:
         _, corr, dist, sim = _correlate(table, cfg, name)
         part_dir = Path(cfg.out_dir) / name
         part_dir.mkdir(parents=True, exist_ok=True)
-        for label, matrix in (
-            ("correlation", corr.values),
-            ("distance", dist.values),
-            ("similarity", sim.values),
-        ):
+        for label, matrix in (("correlation", corr), ("distance", dist), ("similarity", sim)):
             target = part_dir / f"{label}.csv"
-            correlation.write_matrix_csv(corr.feature_names, matrix, target)
+            correlation.write_matrix_csv(matrix, target)
             written.append(str(target))
     return written

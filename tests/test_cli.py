@@ -78,7 +78,9 @@ def test_eval_rejects_learning_rate_that_is_not_positive_and_finite(tmp_path, ca
 @pytest.mark.parametrize("features", ["", " , "])
 def test_eval_blank_feature_list_derives_hubs(tmp_path, capsys, features):
     data = synthetic_csv(tmp_path / "data.csv", n=150, k=5, seed=9)
-    argv = ["eval", "--input", str(data), "--n-seeds", "1", "--rounds", "3"]
+    # at threshold 0 every tree on 5 nodes has a hub, so features are derived
+    argv = ["eval", "--input", str(data), "--n-seeds", "1", "--rounds", "3",
+            "--hub-threshold", "0"]
     assert main(argv) == 0
     derived = capsys.readouterr().out
     assert main(argv + ["--features", features]) == 0
@@ -247,6 +249,24 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
     code = main(["eval", "--input", str(data), "--n-seeds", n_seeds, "--rounds", "1"])
     assert code == 2
     assert "at least 1 evaluation seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eval", "--rounds", "0"], "--rounds"),
+        (["eval", "--max-depth", "-3"], "--max-depth"),
+        (["eval", "--seed", "-1"], "--seed"),
+        # no tree node has degree above 10, so no feature is selected
+        (["eval", "--hub-threshold", "9", "--rounds", "1"], "--hub-threshold"),
+        (["stability", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):
+    data = synthetic_csv(tmp_path / "data.csv")
+    assert main([argv[0], "--input", str(data), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
 
 
 _SMALL_INT = st.integers(min_value=-2, max_value=6)

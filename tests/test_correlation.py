@@ -171,16 +171,17 @@ def test_degenerate_column_warns_and_stays():
     for values in (m.values, d.values, s.values):
         assert not np.isnan(values).any()
     assert d.values[0, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # the transforms keep the correlation's names, mode and warnings
+    for derived in (d, s):
+        assert (derived.feature_names, derived.mode, derived.warnings) == (
+            m.feature_names, m.mode, m.warnings
+        )
 
 
 def test_too_few_rows():
     table = make_table({"x": [1], "y": [-1]})
     with pytest.raises(TooFewRows):
         spearman_matrix(table)
-
-
-def test_n_instances_recorded(toy_table):
-    assert spearman_matrix(toy_table).n_instances == 4
 
 
 @given(
@@ -248,9 +249,7 @@ def corr_of(value: float):
     from featnet.correlation import CorrelationMatrix
 
     values = np.array([[1.0, value], [value, 1.0]])
-    return CorrelationMatrix(
-        feature_names=("a", "b"), values=values, n_instances=10
-    )
+    return CorrelationMatrix(feature_names=("a", "b"), values=values)
 
 
 def test_distance_examples():
@@ -281,7 +280,7 @@ def test_composition_endpoints_and_monotonicity():
 def test_matrix_csv_export(tmp_path, toy_table):
     m = spearman_matrix(toy_table)
     path = tmp_path / "corr.csv"
-    write_matrix_csv(m.feature_names, m.values, path)
+    write_matrix_csv(m, path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",alpha,beta,gamma"
     cells = lines[1].split(",")

@@ -4,7 +4,7 @@ from xml.sax.saxutils import quoteattr
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from featnet import (
     FeatureTable,
@@ -20,8 +20,8 @@ from featnet import (
     partition,
 )
 from featnet import correlation
-from featnet.correlation import SimilarityMatrix
-from featnet.errors import DegenerateDistribution, FeatnetError, MissingCommunity
+from featnet.correlation import CorrelationMatrix
+from featnet.errors import DegenerateDistribution, FeatnetError, UncoveredNode
 from featnet.graph import _quoteattr, write_dot, write_graphml
 
 from .oracles import (
@@ -33,9 +33,9 @@ from .oracles import (
 )
 
 
-def sim_matrix(values: np.ndarray) -> SimilarityMatrix:
+def sim_matrix(values: np.ndarray) -> CorrelationMatrix:
     names = tuple(f"f{i}" for i in range(values.shape[0]))
-    return SimilarityMatrix(feature_names=names, values=values)
+    return CorrelationMatrix(feature_names=names, values=values)
 
 
 def random_complete_graph(rng, n, distinct=True):
@@ -167,7 +167,7 @@ def test_degree_sum_formula(n, seed):
     g = random_complete_graph(rng, n, distinct=False)
     tree = maximum_spanning_tree(g)
     assert len(tree.edges) == n - 1
-    assert sum(tree.degree.values()) == 2 * (n - 1)
+    assert tree.degree.sum() == 2 * (n - 1)
 
 
 # few distinct weights make ties common; thirds and tenths round, so the
@@ -201,9 +201,21 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def named_tree(t):
+    """A spanning tree in the dict oracle's form, degrees keyed by name."""
+    return t.edges, dict(zip(t.nodes, t.degree.tolist())), t.total_weight, t.provably_unique
+
+
+def named_partition(part):
+    """A Louvain result in the dict oracle's form, communities keyed by name."""
+    return dict(zip(part.nodes, part.assignment.tolist())), part.modularity, part.levels
+
+
 @settings(max_examples=300, deadline=None)
-@given(named_graphs(), st.data())
-def test_index_graph_equals_dict_oracle(graph, data):
+@given(named_graphs(), st.lists(st.integers(0, 3), min_size=14, max_size=14))
+# one edge so light that (2m)^2 underflows, which random draws almost never reach
+@example((["a", "b"], [("a", "b", 5.4e-197)]), [0] * 14)
+def test_index_graph_equals_dict_oracle(graph, community_ids):
     # the edge-array graph must reproduce the dict-based one bit for bit:
     # tree edges in order, degrees, float sums, tie flags, Q and Louvain
     nodes, edges = graph
@@ -211,12 +223,12 @@ def test_index_graph_equals_dict_oracle(graph, data):
     assert g.edges == oracle.edges
 
     def tree_of(h):
-        t = maximum_spanning_tree(h)
-        return t.edges, t.degree, t.total_weight, t.provably_unique
+        return named_tree(maximum_spanning_tree(h))
 
     assert outcome(tree_of, g) == outcome(kruskal_dict, oracle)
 
-    assignment = {x: data.draw(st.integers(0, 3)) for x in nodes}
+    assignment = np.array(community_ids[: len(nodes)])
+    named = dict(zip(nodes, assignment.tolist()))
     two_m = sum(sum(oracle.adjacency[x].values()) for x in nodes)
     if two_m > 0.0 and two_m * two_m < np.finfo(np.float64).tiny:
         # (2m)^2 underflows: the dict code loses the pair terms of Q or
@@ -226,11 +238,10 @@ def test_index_graph_equals_dict_oracle(graph, data):
         with pytest.raises(FeatnetError, match="too small"):
             louvain(g)
         return
-    assert outcome(modularity, g, assignment) == outcome(modularity_dict, oracle, assignment)
+    assert outcome(modularity, g, assignment) == outcome(modularity_dict, oracle, named)
 
     def partition_of(h):
-        part = louvain(h)
-        return part.assignment, part.modularity, part.levels
+        return named_partition(louvain(h))
 
     assert outcome(partition_of, g) == outcome(louvain_dict, oracle)
 
@@ -242,14 +253,13 @@ def test_build_graph_equals_dict_oracle(k, seed):
     names = tuple(rng.permutation([f"f{i}" for i in range(k)]).tolist())
     upper = np.triu(rng.choice(TIED_WEIGHTS + tuple(rng.random(4)), size=(k, k)), 1)
     values = upper + upper.T
-    g = build_graph(SimilarityMatrix(feature_names=names, values=values))
+    g = build_graph(CorrelationMatrix(feature_names=names, values=values))
     pairs = zip(*np.triu_indices(k, 1))
     oracle = DictGraph(names, [(names[i], names[j], values[i, j]) for i, j in pairs])
     assert g.edges == oracle.edges
     tree = maximum_spanning_tree(g)
-    assert (tree.edges, tree.degree, tree.total_weight, tree.provably_unique) == kruskal_dict(oracle)
-    part = louvain(g)
-    assert (part.assignment, part.modularity, part.levels) == louvain_dict(oracle)
+    assert named_tree(tree) == kruskal_dict(oracle)
+    assert named_partition(louvain(g)) == louvain_dict(oracle)
 
 
 def similarity_graph(table):
@@ -276,7 +286,7 @@ def test_louvain_equals_dict_oracle_on_reference(reference_table, sel):
     g = similarity_graph(partition(reference_table, sel))
     part = louvain(g)
     oracle = DictGraph(g.nodes, g.edges)
-    assert (part.assignment, part.modularity, part.levels) == louvain_dict(oracle)
+    assert named_partition(part) == louvain_dict(oracle)
 
 
 @pytest.mark.parametrize("k, levels", [(60, 3), (120, 2)])
@@ -287,7 +297,7 @@ def test_louvain_equals_dict_oracle_on_latent_groups(k, levels):
     part = louvain(g)
     oracle = DictGraph(g.nodes, g.edges)
     assert part.levels == levels
-    assert (part.assignment, part.modularity, part.levels) == louvain_dict(oracle)
+    assert named_partition(part) == louvain_dict(oracle)
 
 
 # --- degrees and hubs --------------------------------------------------------
@@ -305,44 +315,42 @@ def star_tree(center, leaves):
 
 def test_degrees_path():
     tree = path_tree("A", "B", "C")
-    assert tree.degree == {"A": 1, "B": 2, "C": 1}
+    assert tree.nodes == ("A", "B", "C")
+    assert tree.degree.tolist() == [1, 2, 1]
 
 
 def test_degrees_star():
     tree = star_tree("hub", ["a", "b", "c", "d"])
-    deg = tree.degree
-    assert deg["hub"] == 4
-    assert all(deg[l] == 1 for l in "abcd")
+    assert tree.nodes == ("hub", "a", "b", "c", "d")
+    assert tree.degree.tolist() == [4, 1, 1, 1, 1]
 
 
 def test_find_hubs_on_star():
     tree = star_tree("hub", ["a", "b", "c", "d"])
-    communities = {n: 0 for n in tree.nodes}
-    report = find_hubs(tree, communities)
-    assert [(e.feature, e.degree, e.community) for e in report.entries] == [
-        ("hub", 4, 0)
-    ]
+    hubs = find_hubs(tree)
+    assert hubs.tolist() == [0]
+    assert tree.degree[hubs].tolist() == [4]
 
 
 def test_find_hubs_path_is_empty():
     tree = path_tree("A", "B", "C", "D")
-    assert find_hubs(tree, {n: 0 for n in tree.nodes}).entries == ()
+    assert find_hubs(tree).tolist() == []
 
 
-def test_find_hubs_missing_community():
+@pytest.mark.parametrize("write", [write_dot, write_graphml])
+def test_writers_refuse_missing_community(tmp_path, write):
     tree = path_tree("A", "B", "C")
-    with pytest.raises(MissingCommunity):
-        find_hubs(tree, {"A": 0, "B": 0})
+    with pytest.raises(UncoveredNode):
+        write(tree, tmp_path / "tree", communities=np.array([0, 0]), hubs=np.array([1]))
 
 
 def test_hub_sets_shrink_with_threshold():
     rng = np.random.default_rng(37)
     g = random_complete_graph(rng, 10)
     tree = maximum_spanning_tree(g)
-    communities = {n: 0 for n in tree.nodes}
     previous = None
     for threshold in range(0, 10):
-        hubs = set(find_hubs(tree, communities, threshold=threshold).features())
+        hubs = set(find_hubs(tree, threshold=threshold).tolist())
         if previous is not None:
             assert hubs <= previous
         previous = hubs
@@ -350,10 +358,10 @@ def test_hub_sets_shrink_with_threshold():
 
 def test_hub_report_sorted():
     tree = star_tree("hub", ["a", "b", "c", "d"])
-    report = find_hubs(tree, {n: 0 for n in tree.nodes}, threshold=0)
-    degrees_seen = [e.degree for e in report.entries]
+    hubs = find_hubs(tree, threshold=0).tolist()
+    degrees_seen = tree.degree[hubs].tolist()
     assert degrees_seen == sorted(degrees_seen, reverse=True)
-    names_at_one = [e.feature for e in report.entries if e.degree == 1]
+    names_at_one = [tree.nodes[i] for i in hubs if tree.degree[i] == 1]
     assert names_at_one == sorted(names_at_one)
 
 
@@ -412,14 +420,14 @@ def test_gamma_rejects_unknown_method():
 
 def test_graphml_round_trips_through_networkx(tmp_path):
     tree = star_tree("hub", ["a", "b", "c", "d"])
-    communities = {n: i % 2 for i, n in enumerate(tree.nodes)}
+    communities = np.arange(len(tree.nodes)) % 2
     path = tmp_path / "tree.graphml"
-    write_graphml(tree, path, communities=communities, hubs=["hub"])
+    write_graphml(tree, path, communities=communities, hubs=np.array([0]))
     loaded = nx.read_graphml(path)
     assert set(loaded.nodes) == set(tree.nodes)
     assert loaded.nodes["hub"]["hub"] is True
     assert loaded.nodes["a"]["hub"] is False
-    assert loaded.nodes["a"]["community"] == communities["a"]
+    assert loaded.nodes["a"]["community"] == communities[tree.nodes.index("a")]
     weights = [d["weight"] for _, _, d in loaded.edges(data=True)]
     assert weights == [1.0, 1.0, 1.0, 1.0]
 
@@ -433,7 +441,7 @@ def test_quoteattr_matches_stdlib(text):
 def test_dot_export_format(tmp_path):
     tree = path_tree("A", "B", "C")
     path = tmp_path / "tree.dot"
-    write_dot(tree, path, communities={"A": 0, "B": 1, "C": 0}, hubs=["B"])
+    write_dot(tree, path, communities=np.array([0, 1, 0]), hubs=np.array([1]))
     text = path.read_text()
     assert text.startswith("graph feature_network {")
     assert '"B" [community=1, shape=box];' in text

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -310,3 +311,43 @@ def test_reference_hub_stability_soft():
     for name, entry in report["partitions"].items():
         print(f"  [{name}] mean Jaccard vs full: {entry['mean_jaccard_vs_full']:.3f}")
         assert entry["mean_jaccard_vs_full"] >= 0.7
+
+
+# sha256 of each analyze file on the shipped ARFF with the default config;
+# manifest.json is left out, as it prints repr floats of np.exp / np.sqrt
+# that may differ in the last bit across numpy SIMD builds
+REFERENCE_DIGESTS = {
+    "all": {
+        "hubs.csv": "deb9228edc95198c6b7f67e2ea64f66e84af778e2e4d3b324382c64a4c832531",
+        "communities.csv": "a81ea39f0e87a1a49a57f860c855ac406acfdee77c808ac0a44c5664db592123",
+        "mst.dot": "8c81c59e1e842a572d5e0c9b9837541cff14bf6b568789f217208cb391150e1d",
+        "mst.graphml": "535ddc468dc085cc1236ddb2fdc411924762e48516cbfa216c74f80d14cd3288",
+        "degree_dist.csv": "f9708ecdb02850e8b5adbfd10dff8b239fff4739175ecd792a31d217e664a25e",
+    },
+    "legitimate": {
+        "hubs.csv": "52c6c40b7756a528ebf5253d88d4f59cba619d9d17fc0bc0bed64e8b7927a1e7",
+        "communities.csv": "a81ea39f0e87a1a49a57f860c855ac406acfdee77c808ac0a44c5664db592123",
+        "mst.dot": "39ccb67d01e8f500b76bfb9008bb1f97f0f758f21134a89de112d7c0a44729a1",
+        "mst.graphml": "477aae5c464f2955094ad04709a0ac66a8ba7bc391558c67aadb997db2181be2",
+        "degree_dist.csv": "623d725a6a44cdddb726071fe9e745dfac8c73766351704d65275c6b755f4248",
+    },
+    "phishing": {
+        "hubs.csv": "e864cb63eec76a089744c4df698c19ec7117c2618ef86b8c8321e439987c01ac",
+        "communities.csv": "b9b319bafdc9be29e636c32d95cfa96eee230cc60bce3ff335d26cf2dc4b10fd",
+        "mst.dot": "32da2ad9a6a3c5fa4ce60bc0cda0a4e706bad2bde75bf909127bc7c02afca2c7",
+        "mst.graphml": "b4f6b0fdb224ec300ce82b365eec79134bb7d81297e22d01f8e5cdd296abb9c9",
+        "degree_dist.csv": "eda34347195606bdb15e1ec3c16c70c583ef24759f136c37767eb8a5aee6cf53",
+    },
+}
+
+
+def test_reference_outputs_byte_identical(tmp_path):
+    run_pipeline(PipelineConfig(input_path=str(REFERENCE_ARFF), out_dir=str(tmp_path)))
+    digests = {
+        name: {
+            f: hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+            for f in pipeline_module.ANALYZE_FILES
+        }
+        for name in REFERENCE_DIGESTS
+    }
+    assert digests == REFERENCE_DIGESTS
