@@ -6,14 +6,14 @@ distance d = sqrt(2 * (1 - rho)) in [0, 2], then similarity exp(-d) in
 be exported and audited.
 
 Spearman is computed from one Gram matrix G = C.T @ C of the centered
-column ranks C, which serves both correlation modes.  The result is exact:
-tie-averaged ranks are half-integers and every column's mean is exactly
-(n+1)/2, so each centered value is a multiple of 1/2 and each product and
-partial sum a multiple of 1/4.  By Cauchy-Schwarz no partial sum exceeds
-n(n^2-1)/12 in magnitude, so every one is an exact float64 whatever order
-the matrix product sums in, for n up to about 3.0e5 rows; the literal
-formula's sum of squared rank differences, up to n(n^2-1)/3, is exact for n
-up to about 1.9e5.
+ranks C, which serves both correlation modes; one call ranks every column
+from its code counts.  G is exact: tie-averaged ranks are half-integers and
+every column's mean is (n+1)/2, so each centered value is a multiple of 1/2
+and each product and partial sum a multiple of 1/4.  By Cauchy-Schwarz no
+partial sum exceeds n(n^2-1)/12 in magnitude, so every one is an exact
+float64 whatever order the matrix product sums in, for n up to about 3.0e5
+rows; the literal formula's sum of squared rank differences, up to
+n(n^2-1)/3, is exact for n up to about 1.9e5.
 """
 
 from __future__ import annotations
@@ -43,18 +43,26 @@ class CorrelationMatrix:
     warnings: tuple[tuple[str, str], ...] = field(default=())
 
 
-def rank_transform(column) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share the average rank.
+def rank_transform(values) -> np.ndarray:
+    """Fractional ranks (1-based) of each column, a 1-D array being one column.
 
-    A run of c tied values ending at sorted position e holds ranks
-    e-c+1..e, whose average e - (c-1)/2 is a half-integer, exact in binary.
-    The ranks of an n-element column therefore sum to n*(n+1)/2 exactly.
+    One ``bincount`` counts every column's codes, offset by column, and the c
+    ties ending at sorted position e share the exact rank e - (c-1)/2.  Codes
+    that are not integers less than n apart are first recoded densely, in order.
     """
-    col = np.asarray(column, dtype=np.float64)
-    if col.size == 0:
+    x = np.asarray(values)
+    if x.size == 0:
         raise TooFewRows("cannot rank an empty column")
-    _, run, counts = np.unique(col, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2)[run]
+    cols = x.reshape(len(x), -1)
+    n, k = cols.shape
+    lo, hi = (int(cols.min()), int(cols.max())) if x.dtype.kind in "iu" else (0, n)  # non-integers recode
+    if hi - lo >= n or lo < -(2**53) or hi > 2**53:  # past n, or inexact in float64
+        dense = np.unique(cols.astype(np.float64), return_inverse=True)[1].reshape(n, k)
+        cols = np.unique(dense + np.arange(k) * x.size, return_inverse=True)[1].reshape(n, k)
+        cols, lo, hi = cols - cols.min(axis=0), 0, n - 1  # dense within each column
+    keys = np.add(cols, np.arange(k) * (hi - lo + 1) - lo, dtype=np.int64)
+    counts = np.bincount(keys.ravel(), minlength=k * (hi - lo + 1)).reshape(k, -1)
+    return (counts.cumsum(axis=1) - (counts - 1) / 2).ravel().take(keys).reshape(x.shape)
 
 
 def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> CorrelationMatrix:
@@ -79,9 +87,7 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
     if k < 2:
         raise ValueError(f"need at least 2 features to correlate, got {k}")
 
-    centered = np.column_stack(
-        [rank_transform(table.rows[:, j]) for j in range(k)]
-    ) - (n + 1) / 2.0
+    centered = rank_transform(table.rows) - (n + 1) / 2.0
     gram = centered.T @ centered
     sum_sq = np.diag(gram)
     degenerate = sum_sq <= 0.0
@@ -100,8 +106,7 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
 
     warnings = tuple(
         (table.feature_names[j], "constant column, correlations set to 0")
-        for j in range(k)
-        if degenerate[j]
+        for j in np.flatnonzero(degenerate)
     )
     values.flags.writeable = False
     return CorrelationMatrix(

@@ -78,7 +78,7 @@ class GradientBoostedTrees:
         ).all():
             raise ValueError("sample_weight must hold one positive integer count per row")
         counts, weight = counts.astype(np.int64), counts.astype(np.float64)
-        classes = np.unique(y)
+        classes = _distinct(y)
         if not np.isin(classes, (0.0, 1.0)).all():
             raise ValueError("labels must be 0/1")
         if len(classes) < 2:
@@ -86,6 +86,14 @@ class GradientBoostedTrees:
 
         self._fit_bins(X, counts)
         binned = self._bin(X)
+        # the histogram layout is fixed for the fit: feature j's bins are keys j*width + bin
+        n_bins = np.array([len(edges) + 1 for edges in self.bin_edges_], dtype=np.int64)
+        width = int(n_bins.max(initial=1))
+        layout = (
+            binned + np.arange(binned.shape[1]) * width,
+            width,
+            np.arange(width - 1) >= (n_bins - 1)[:, None],  # past a feature's last bin
+        )
         p0 = float(np.clip((weight * y).sum() / weight.sum(), 1e-6, 1 - 1e-6))
         self.base_score_ = float(np.log(p0 / (1.0 - p0)))
         margin = np.full(len(y), self.base_score_)
@@ -95,7 +103,7 @@ class GradientBoostedTrees:
             self.loss_curve_.append(_log_loss(y, prob, weight))
             roots.append(len(nodes))
             leaf_values, depth = self._grow_tree(
-                binned, (prob - y) * weight, prob * (1.0 - prob) * weight, nodes
+                binned, layout, (prob - y) * weight, prob * (1.0 - prob) * weight, nodes
             )
             self._depth = max(self._depth, depth)
             margin += self.params.learning_rate * leaf_values
@@ -142,10 +150,10 @@ class GradientBoostedTrees:
     def _fit_bins(self, X: np.ndarray, counts: np.ndarray) -> None:
         self.bin_edges_ = []
         for j in range(X.shape[1]):
-            uniq = np.unique(X[:, j])
+            uniq = _distinct(X[:, j])
             if len(uniq) > self.params.n_bins:
                 levels = np.linspace(0.0, 1.0, self.params.n_bins + 1)[1:-1]
-                uniq = np.unique(np.quantile(np.repeat(X[:, j], counts), levels))
+                uniq = _distinct(_quantile(np.repeat(X[:, j], counts), levels))
             edges = (uniq[:-1] + uniq[1:]) / 2.0 if len(uniq) > 1 else np.empty(0)
             self.bin_edges_.append(edges)
 
@@ -156,15 +164,17 @@ class GradientBoostedTrees:
         return binned
 
     def _grow_tree(
-        self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray, nodes: list
+        self, binned: np.ndarray, layout: tuple, grad: np.ndarray, hess: np.ndarray, nodes: list
     ) -> tuple[np.ndarray, int]:
         """Append one tree to ``nodes``; return each row's leaf value and the depth.
 
         The tree is grown level by level and stored breadth-first as ``_NODE``
         rows with child indices into ``nodes``; the depth is the deepest leaf's.
-        Each open node keeps its rows as an ascending index array.  One pair of
-        ``bincount`` calls over keys node·(d·B) + j·B + bin fills the gradient
-        and hessian histograms of a whole level.  It adds each bin's rows in
+        Each open node keeps its rows as an ascending index array.  ``layout``
+        is fixed for the fit: the keys j·B + bin, the width B and the mask of
+        bins past each feature's last.  One pair of ``bincount`` calls over
+        keys node·(d·B) + j·B + bin fills the gradient and hessian
+        histograms of a whole level.  It adds each bin's rows in
         index order, so every histogram equals a per-node one bit for bit.
         Node sums stay numpy's pairwise ``grad[idx].sum()``; histogram totals
         differ in the last bit.  Ties go to the first feature, then the first
@@ -172,11 +182,8 @@ class GradientBoostedTrees:
         """
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
         n, d = binned.shape
-        n_bins = np.array([len(edges) + 1 for edges in self.bin_edges_], dtype=np.int64)
-        width = int(n_bins.max(initial=1))
+        keys, width, unsplittable = layout
         max_depth = max(self.params.max_depth, 0) if width > 1 else 0
-        keys = binned + np.arange(d) * width
-        unsplittable = np.arange(width - 1) >= (n_bins - 1)[:, None]
         weights = (np.repeat(grad, d), np.repeat(hess, d))
         leaf_values = np.empty(n)
         level, size = [(len(nodes), np.arange(n))], len(nodes) + 1
@@ -224,6 +231,24 @@ class GradientBoostedTrees:
             if not next_level:
                 return leaf_values, depth
             level = next_level
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  Asking for counts keeps ``np.unique`` from
+    reading ``np.ma.is_masked``, which would import ``numpy.ma`` (~12 ms)."""
+    return np.unique(values, return_counts=True)[0]
+
+
+def _quantile(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, levels)`` (linear method) for levels in [0, 1),
+    bit for bit, without the plain ``np.unique`` that imports ``numpy.ma``."""
+    ordered = np.sort(values)
+    pos = (len(ordered) - 1) * levels
+    below = np.floor(pos).astype(np.intp)
+    t = pos - below
+    lo, hi = ordered[below], ordered[np.minimum(below + 1, len(ordered) - 1)]
+    diff = hi - lo
+    return np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -347,7 +372,7 @@ def stratified_split(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
-    for value in np.unique(labels):
+    for value in _distinct(labels):
         idx = np.flatnonzero(labels == value)
         rng.shuffle(idx)
         cut = int(round(train_fraction * len(idx)))

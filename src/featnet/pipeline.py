@@ -61,6 +61,10 @@ class PipelineConfig:
             raise ValueError(f"n_rounds (--rounds) must be at least 1, got {self.gbt.n_rounds}")
         if self.gbt.max_depth < 0:
             raise ValueError(f"max_depth (--max-depth) must be >= 0, got {self.gbt.max_depth}")
+        names = self.eval_features or ()
+        repeated = [f for i, f in enumerate(names) if f in names[:i]]
+        if repeated:
+            raise ValueError(f"eval_features (--features) names {repeated[0]!r} more than once")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -260,7 +264,8 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     top = degree > threshold + 1
     # the far end of every tree edge that leaves a top node
     near_top = np.concatenate((tree.dst[top[tree.src]], tree.src[top[tree.dst]]))
-    attached = np.intersect1d(near_top, np.flatnonzero(degree == threshold + 1))
+    linked = np.bincount(near_top, minlength=len(degree)) > 0
+    attached = np.flatnonzero(linked & (degree == threshold + 1))
     names = tree.nodes
     return sorted(names[i] for i in np.flatnonzero(top)) + sorted(names[i] for i in attached)
 

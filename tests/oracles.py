@@ -133,6 +133,41 @@ def spearman_exact(x, y):
     return tuple(min(1.0, max(-1.0, rho)) for rho in (tie_aware, literal))
 
 
+def rank_columns_by_sorting(rows):
+    """Tie-averaged ranks of each column, one sorting ``np.unique`` per column."""
+    ranks = []
+    for j in range(rows.shape[1]):
+        _, run, counts = np.unique(
+            np.asarray(rows[:, j], dtype=np.float64), return_inverse=True, return_counts=True
+        )
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[run])
+    return np.column_stack(ranks)
+
+
+def spearman_from_sorted_ranks(rows, mode):
+    """The Spearman matrix of ``rows`` from ``rank_columns_by_sorting``.
+
+    The arithmetic after the ranks is the package's: centered ranks, their
+    Gram matrix, either formula, clipping, and 0 for constant columns.
+    """
+    n = rows.shape[0]
+    centered = rank_columns_by_sorting(rows) - (n + 1) / 2.0
+    gram = centered.T @ centered
+    sum_sq = np.diag(gram)
+    degenerate = sum_sq <= 0.0
+    if mode == "tie_aware":
+        scale = np.where(degenerate, 1.0, sum_sq)
+        values = gram / np.sqrt(np.outer(scale, scale))
+    else:
+        sum_d2 = sum_sq[:, None] + sum_sq[None, :] - 2.0 * gram
+        values = 1.0 - 6.0 * sum_d2 / (n * (n * n - 1.0))
+    np.clip(values, -1.0, 1.0, out=values)
+    values[degenerate, :] = 0.0
+    values[:, degenerate] = 0.0
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
 def gbt_recursive(X, y, params):
     """Boosted trees grown node by node with recursion, one feature at a time.
 

@@ -29,6 +29,26 @@ def test_import_leaves_out_network_modules():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n-seeds", "1", "--rounds", "2"],
+        ["analyze", "--out", "{tmp}/out"],
+    ],
+)
+def test_run_leaves_out_numpy_ma(tmp_path, argv):
+    # a plain np.unique reads np.ma.is_masked, which imports numpy.ma (~12 ms)
+    root = Path(__file__).resolve().parent.parent
+    args = [a.format(tmp=tmp_path) for a in argv]
+    args += ["--input", str(root / "data" / "phishing_websites.arff")]
+    code = f"import sys; from featnet.cli import main; main({args!r}); print('numpy.ma' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
     "command, out_dir",
     [("analyze", "o"), ("export", "o"), ("eval", None), ("stability", None)],
 )
@@ -267,6 +287,15 @@ def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):
     assert main([argv[0], "--input", str(data), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
+
+
+def test_eval_rejects_repeated_feature(tmp_path, capsys):
+    data = synthetic_csv(tmp_path / "data.csv")
+    code = main(["eval", "--input", str(data), "--features", "feat1,feat0,feat1", "--rounds", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: eval_features (--features) names 'feat1' more than once\n"
+    )
 
 
 _SMALL_INT = st.integers(min_value=-2, max_value=6)

@@ -7,6 +7,8 @@ from scipy import stats
 
 from featnet import (
     FeatureTable,
+    Partition,
+    partition,
     rank_transform,
     spearman_matrix,
     to_distance,
@@ -15,7 +17,12 @@ from featnet import (
 from featnet.correlation import write_matrix_csv
 from featnet.errors import TooFewRows
 
-from .oracles import spearman_exact, spearman_rank_then_pearson
+from .oracles import (
+    rank_average_ties,
+    spearman_exact,
+    spearman_from_sorted_ranks,
+    spearman_rank_then_pearson,
+)
 
 
 def make_table(columns: dict[str, list[int]]) -> FeatureTable:
@@ -60,7 +67,52 @@ def test_rank_matches_counting_oracle(column):
     assert rank_transform(column).tolist() == rank_average_ties(column)
 
 
+@st.composite
+def rank_arrays(draw):
+    """2-D arrays of codes, wide-range integers or floats, with constant columns."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    values = draw(st.sampled_from([
+        st.sampled_from([-1, 0, 1]),
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.sampled_from([-2.5, 0.0, 0.5, 7.0]),
+    ]))
+    columns = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=5))
+    columns += [[c] * n for c in draw(st.lists(values, max_size=2))]
+    return np.array(columns).T
+
+
+@given(rank_arrays())
+def test_rank_2d_equals_oracle_per_column(rows):
+    ranks = rank_transform(rows)
+    assert ranks.shape == rows.shape
+    for j in range(rows.shape[1]):
+        assert ranks[:, j].tolist() == rank_average_ties(rows[:, j].tolist())
+
+
 # --- spearman_matrix --------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["tie_aware", "literal_formula"])
+@pytest.mark.parametrize("sel", list(Partition))
+def test_spearman_equals_sorted_rank_oracle_on_shipped_partitions(reference_table, sel, mode):
+    table = partition(reference_table, sel)
+    expected = spearman_from_sorted_ranks(table.rows, mode)
+    assert np.array_equal(spearman_matrix(table, mode=mode).values, expected)
+
+
+@pytest.mark.parametrize("mode", ["tie_aware", "literal_formula"])
+def test_spearman_equals_sorted_rank_oracle_on_300_columns(mode):
+    rng = np.random.default_rng(12)
+    rows = rng.choice([-1, 0, 1], size=(400, 300), p=[0.2, 0.3, 0.5])
+    rows[:, 7] = 1  # a constant column
+    table = FeatureTable(
+        feature_names=tuple(f"f{j:03d}" for j in range(300)),
+        rows=rows,
+        labels=np.ones(400, dtype=int),
+    )
+    expected = spearman_from_sorted_ranks(rows, mode)
+    assert np.array_equal(spearman_matrix(table, mode=mode).values, expected)
+
 
 def test_self_correlation_is_one():
     table = make_table({"x": [-1, 0, 1, 1], "y": [1, 1, -1, 0]})

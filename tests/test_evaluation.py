@@ -14,7 +14,7 @@ from featnet import (
 )
 from featnet.dataset import LABEL_LEGITIMATE
 from featnet.errors import DegenerateLabels, RankDeficient
-from featnet.evaluation import stratified_split
+from featnet.evaluation import _quantile, stratified_split
 
 from .oracles import gbt_recursive
 
@@ -213,6 +213,17 @@ def test_gbt_equals_recursive_oracle_with_quantile_bins():
     X = rng.normal(size=(300, 3))
     y = (X[:, 0] + rng.normal(scale=0.5, size=300) > 0).astype(np.float64)
     assert_matches_recursive_oracle(X, y, rng.normal(size=(50, 3)), GBTParams(n_rounds=5))
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=300),
+    st.integers(2, 300),
+)
+def test_quantile_equals_numpy(values, n_bins):
+    # the bin edges' quantiles, computed without np.quantile's numpy.ma import
+    levels = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    x = np.array(values)
+    assert np.array_equal(_quantile(x, levels), np.quantile(x, levels))
 
 
 @st.composite
