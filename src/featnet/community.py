@@ -143,30 +143,33 @@ def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -
         return comm
     _check_total_weight(two_m)
     order = np.argsort(start, kind="stable")
-    bounds = np.cumsum(np.bincount(start, minlength=n))[:-1]
-    neighbors = np.split(end[order], bounds)
-    neighbor_weight = np.split(link_weight[order], bounds)
+    end, link_weight = end[order], link_weight[order]
+    stop = np.cumsum(np.bincount(start, minlength=n)).tolist()
     comm_total = strength.copy()
+    strength, comm_of, two_m_m = strength.tolist(), comm.tolist(), 2.0 * m * m
 
     improved = True
     while improved:
         improved = False
-        for u in range(n):
-            current = comm[u]
-            comm_total[current] -= strength[u]
-            near = comm[neighbors[u]]
-            links = np.bincount(near, weights=neighbor_weight[u], minlength=n)
-            # neighboring communities in ascending id order, so the first
-            # maximum is the smallest id among equal gains
-            cand = np.flatnonzero(np.bincount(near, minlength=n))
-            gain = (links[cand] - links[current]) / m - strength[u] * (
-                comm_total[cand] - comm_total[current]
-            ) / (2.0 * m * m)
-            ok = gain > DEFAULT_MIN_GAIN  # False for NaN
-            best = cand[ok][np.argmax(gain[ok])] if ok.any() else current
-            comm_total[best] += strength[u]
+        # u's links are end[lo:hi]; one vector holds the gain of each neighboring community
+        for u, lo, hi in zip(range(n), [0] + stop, stop):
+            current, s = comm_of[u], strength[u]
+            comm_total[current] -= s
+            best = current
+            if lo < hi:
+                near = comm[end[lo:hi]]
+                links = np.bincount(near, weights=link_weight[lo:hi], minlength=n)
+                # candidates ascend, so the first maximum is the smallest id among equal gains
+                cand = np.bincount(near, minlength=n).nonzero()[0]
+                gain = (links[cand] - links[current]) / m
+                gain -= s * (comm_total[cand] - comm_total[current]) / two_m_m
+                i = gain.argmax()
+                if gain[i] != gain[i]:  # argmax stops at a NaN; NaN gains never win
+                    i = np.where(gain > DEFAULT_MIN_GAIN, gain, -np.inf).argmax()
+                best = int(cand[i]) if gain[i] > DEFAULT_MIN_GAIN else current
+            comm_total[best] += s
             if best != current:
-                comm[u] = best
+                comm[u] = comm_of[u] = best
                 improved = True
     return comm
 

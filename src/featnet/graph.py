@@ -6,11 +6,11 @@ is the same three arrays over the chosen edges, its degrees are one int
 array in node order, and hubs are node positions.  Names are attached only
 where results leave the package: the named ``edges`` of graphs and trees,
 the export writers and the run manifest.  The spanning tree comes from
-Kruskal's algorithm over edges sorted by descending weight, with an integer
-union-find list for cycle detection.  Weight ties are broken by the (lower,
-higher) rank of the endpoint names in sorted name order, which is the
-lexicographic (min-name, max-name) pair, so repeated runs produce identical
-trees.
+Kruskal's algorithm over edges in one sort by descending weight, with an
+integer union-find list for cycle detection.  Within each run of equal
+weights, edges are re-sorted by the (lower, higher) rank of the endpoint
+names in sorted name order, which is the lexicographic (min-name, max-name)
+pair, so repeated runs produce identical trees.
 """
 
 from __future__ import annotations
@@ -126,20 +126,27 @@ class SpanningTree:
 
 
 def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
-    """Spanning tree of maximal total weight (deterministic under ties)."""
+    """Spanning tree of maximal total weight: edges in one descending-weight sort,
+    ties broken by name-rank pair within each run of equal weight."""
     n = g.n_nodes
     by_rank = np.array(sorted(range(n), key=g.nodes.__getitem__), dtype=np.intp)
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_rank] = np.arange(n)
-    lo = np.minimum(rank[g.src], rank[g.dst])
-    hi = np.maximum(rank[g.src], rank[g.dst])
-    order = np.lexsort((hi, lo, -g.weight))
-    ordered = g.weight[order]
+    rank = np.argsort(by_rank)
+    lo, hi = np.minimum(rank[g.src], rank[g.dst]), np.maximum(rank[g.src], rank[g.dst])
+    # one argsort by descending weight; each run of equal weights (0.0 equals
+    # -0.0) then by lo * n + hi < n**2, exact in int64 up to n = 3e9 node names
+    neg = -g.weight
+    order = np.argsort(neg)
+    tie = neg[order][1:] == neg[order][:-1]
+    tied = np.flatnonzero(np.append(tie, False) | np.append(False, tie))
+    run = order[tied]
+    order[tied] = run[np.lexsort((lo[run] * n + hi[run], neg[run]))]
 
     parent = list(range(n))
     chosen: list[int] = []  # positions in ``order``
-    for e, (a, b) in enumerate(zip(lo[order].tolist(), hi[order].tolist())):
-        ra, rb = a, b
+    # Kruskal mostly stops early, so the sorted ends become lists a block at a time
+    blocks = (order[i : i + 1024] for i in range(0, len(order), 1024))
+    ends = (pair for c in blocks for pair in zip(lo[c].tolist(), hi[c].tolist()))
+    for e, (ra, rb) in enumerate(ends):
         while parent[ra] != ra:
             parent[ra] = ra = parent[parent[ra]]
         while parent[rb] != rb:
@@ -158,7 +165,7 @@ def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
         src=by_rank[lo[picked]],
         dst=by_rank[hi[picked]],
         weight=g.weight[picked],
-        provably_unique=bool(np.all(ordered[1:] != ordered[:-1])),
+        provably_unique=not tie.any(),
     )
 
 

@@ -99,7 +99,8 @@ class RunManifest:
     errors: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Shallow, as every field already holds JSON-ready values."""
+        return {**vars(self), "partitions": [dict(vars(p)) for p in self.partitions]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -447,6 +447,60 @@ def _louvain_local_moves(n, edges, min_gain):
     return comm
 
 
+def local_moves_split(n, src, dst, weight, min_gain=1e-9):
+    """One Louvain local-move phase over edge arrays, as the package ran it
+    before its per-node loop read slices: each node's links are
+    ``np.split`` pieces, its candidates come from ``np.flatnonzero`` and the
+    winner from the gains above ``min_gain``.  Returns the community of
+    each node, or raises ``ArithmeticError`` where the package refuses
+    (2m)^2 as not a finite normal float.
+    """
+
+    def sum_in_order(values):
+        return float(np.cumsum(np.append(0.0, values))[-1])
+
+    loop = src == dst
+    a, b = src[~loop], dst[~loop]
+    start, end = np.column_stack((a, b)).ravel(), np.column_stack((b, a)).ravel()
+    link_weight = np.repeat(weight[~loop], 2)
+    strength = np.bincount(start, weights=link_weight, minlength=n) + 2.0 * np.bincount(
+        src[loop], weights=weight[loop], minlength=n
+    )
+    two_m = sum_in_order(strength)
+    m = two_m / 2.0
+    comm = np.arange(n)
+    if m <= 0.0:
+        return comm
+    square = two_m * two_m
+    if not np.finfo(np.float64).tiny <= square < np.inf:
+        size = "too small" if square < 1.0 else "too large"
+        raise ArithmeticError(f"total edge weight {two_m / 2.0!r} is {size} for modularity")
+    order = np.argsort(start, kind="stable")
+    bounds = np.cumsum(np.bincount(start, minlength=n))[:-1]
+    neighbors = np.split(end[order], bounds)
+    neighbor_weight = np.split(link_weight[order], bounds)
+    comm_total = strength.copy()
+
+    improved = True
+    while improved:
+        improved = False
+        for u in range(n):
+            current = comm[u]
+            comm_total[current] -= strength[u]
+            near = comm[neighbors[u]]
+            links = np.bincount(near, weights=neighbor_weight[u], minlength=n)
+            cand = np.flatnonzero(np.bincount(near, minlength=n))
+            gain = (links[cand] - links[current]) / m - strength[u] * (
+                comm_total[cand] - comm_total[current]
+            ) / (2.0 * m * m)
+            ok = gain > min_gain  # False for NaN
+            best = cand[ok][np.argmax(gain[ok])] if ok.any() else current
+            comm_total[best] += strength[u]
+            if best != current:
+                comm[u] = best
+                improved = True
+    return comm
+
 def load_lines(text, fmt, source="<string>"):
     """The line-by-line CSV / ARFF loader: int() on every cell, one list per row."""
     from featnet.dataset import FeatureTable

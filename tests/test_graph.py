@@ -300,6 +300,24 @@ def test_louvain_equals_dict_oracle_on_latent_groups(k, levels):
     assert named_partition(part) == louvain_dict(oracle)
 
 
+@pytest.mark.parametrize("constant_column", [None, 17])
+def test_k300_tree_and_louvain_equal_dict_oracles(constant_column):
+    # the size of the wide benchmark graphs: 44,850 edges, of which Kruskal
+    # scans a few thousand; a constant column ties its 299 edges at
+    # exp(-sqrt(2)), so the name-rank rule orders one long run of equal weights
+    table = latent_group_table(3, 300)  # no two edge weights are equal
+    if constant_column is not None:
+        rows = table.rows.copy()
+        rows[:, constant_column] = 0
+        table = FeatureTable(table.feature_names, rows, table.labels)
+    g = similarity_graph(table)
+    oracle = DictGraph(g.nodes, g.edges)
+    tree = maximum_spanning_tree(g)
+    assert tree.provably_unique is (constant_column is None)
+    assert named_tree(tree) == kruskal_dict(oracle)
+    assert named_partition(louvain(g)) == louvain_dict(oracle)
+
+
 # --- degrees and hubs --------------------------------------------------------
 
 def path_tree(*names):
