@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FeatnetError, UncoveredNode
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _sum_in_order
 
 DEFAULT_MIN_GAIN = 1e-9
 
@@ -39,11 +39,6 @@ class CommunityPartition:
         for node, cid in zip(self.nodes, self.assignment.tolist()):
             out.setdefault(cid, []).append(node)
         return out
-
-
-def _sum_in_order(values: np.ndarray) -> float:
-    """0.0 + v0 + v1 + ... added left to right, as the builtin ``sum`` adds floats."""
-    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def _check_total_weight(two_m: float) -> None:

@@ -22,6 +22,7 @@ EPS = 1e-12
 _LEAF_THRESHOLD = np.iinfo(np.int32).max  # every bin is <= it: a leaf keeps its rows
 # a row goes to `left` if its bin is <= `bin`, else to left + 1; a leaf is its own left
 _NODE = np.dtype([("feature", "i4"), ("bin", "i4"), ("left", "i4"), ("value", "f8")])
+_TREE_BLOCK = 16  # trees predict_proba walks at once: its index arrays hold block × rows
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,16 @@ class GradientBoostedTrees:
             raise DegenerateLabels("training labels contain a single class")
 
         self._fit_bins(X, counts)
-        binned = self._bin(X)
-        # the histogram layout is fixed for the fit: feature j's bins are keys j*width + bin
+        # the histogram layout is fixed for the fit: feature j's bins are keys j*width + bin,
+        # one row of keys per feature
         n_bins = np.array([len(edges) + 1 for edges in self.bin_edges_], dtype=np.int64)
         width = int(n_bins.max(initial=1))
+        keys = (self._bin(X) + np.arange(X.shape[1]) * width).T.copy()
         layout = (
-            binned + np.arange(binned.shape[1]) * width,
+            keys,
             width,
             np.arange(width - 1) >= (n_bins - 1)[:, None],  # past a feature's last bin
+            np.empty(keys.shape, dtype=np.int64),  # each level's keys node·(d·B) + j·B + bin
         )
         p0 = float(np.clip((weight * y).sum() / weight.sum(), 1e-6, 1 - 1e-6))
         self.base_score_ = float(np.log(p0 / (1.0 - p0)))
@@ -103,10 +106,16 @@ class GradientBoostedTrees:
             self.loss_curve_.append(_log_loss(y, prob, weight))
             roots.append(len(nodes))
             leaf_values, depth = self._grow_tree(
-                binned, layout, (prob - y) * weight, prob * (1.0 - prob) * weight, nodes
+                layout, (prob - y) * weight, prob * (1.0 - prob) * weight, nodes
             )
             self._depth = max(self._depth, depth)
-            margin += self.params.learning_rate * leaf_values
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                margin += self.params.learning_rate * leaf_values
+        if not np.isfinite(margin).all():
+            raise ValueError(
+                f"learning_rate (--learning-rate) {self.params.learning_rate!r} "
+                "drives the margins past the float range"
+            )
         self.loss_curve_.append(_log_loss(y, _sigmoid(margin), weight))
         self._nodes = np.fromiter(nodes, _NODE, len(nodes))
         self._roots = np.array(roots, dtype=np.int32)
@@ -123,26 +132,26 @@ class GradientBoostedTrees:
         return [tree[root] for root in self._roots.tolist()]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Route the distinct binned rows through all trees at once.
+        """Route the distinct binned rows through ``_TREE_BLOCK`` trees at a time.
 
-        Each step moves every (tree, row) pair one level down.  The margin
-        then adds ``learning_rate * leaf value`` one tree at a time in tree
-        order, so every row gets the same sum as tree-by-tree prediction.
+        Each step moves every (tree, row) pair of a block one level down, so
+        the index arrays hold block × rows entries whatever ``n_rounds`` is.
+        The margin adds ``learning_rate * leaf value`` one tree at a time in
+        tree order, so every row gets the same sum as tree-by-tree prediction.
         """
         if self.bin_edges_ is None:
             raise ValueError("classifier is not fitted")
-        binned, inverse = np.unique(
-            self._bin(np.asarray(X, dtype=np.float64)), axis=0, return_inverse=True
-        )
+        binned, inverse = _distinct_rows(self._bin(np.asarray(X, dtype=np.float64)))
         feat, thr, left, value = (self._nodes[name] for name in _NODE.names)
         rows = np.arange(len(binned))
-        node = self._roots[:, None]  # widens to one column per row
-        for _ in range(self._depth):
-            node = left[node] + (binned[rows, feat[node]] > thr[node])
         margin = np.full(len(binned), self.base_score_)
-        for tree_nodes in node:
-            margin += self.params.learning_rate * value[tree_nodes]
-        return _sigmoid(margin)[inverse.reshape(-1)]
+        for start in range(0, len(self._roots), _TREE_BLOCK):
+            node = self._roots[start : start + _TREE_BLOCK, None]  # widens to one column per row
+            for _ in range(self._depth):
+                node = left[node] + (binned[rows, feat[node]] > thr[node])
+            for tree_nodes in node:
+                margin += self.params.learning_rate * value[tree_nodes]
+        return _sigmoid(margin)[inverse]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) > 0.5).astype(np.int64)
@@ -164,27 +173,29 @@ class GradientBoostedTrees:
         return binned
 
     def _grow_tree(
-        self, binned: np.ndarray, layout: tuple, grad: np.ndarray, hess: np.ndarray, nodes: list
+        self, layout: tuple, grad: np.ndarray, hess: np.ndarray, nodes: list
     ) -> tuple[np.ndarray, int]:
         """Append one tree to ``nodes``; return each row's leaf value and the depth.
 
         The tree is grown level by level and stored breadth-first as ``_NODE``
         rows with child indices into ``nodes``; the depth is the deepest leaf's.
         Each open node keeps its rows as an ascending index array.  ``layout``
-        is fixed for the fit: the keys j·B + bin, the width B and the mask of
-        bins past each feature's last.  One pair of ``bincount`` calls over
-        keys node·(d·B) + j·B + bin fills the gradient and hessian
-        histograms of a whole level.  It adds each bin's rows in
-        index order, so every histogram equals a per-node one bit for bit.
-        Node sums stay numpy's pairwise ``grad[idx].sum()``; histogram totals
-        differ in the last bit.  Ties go to the first feature, then the first
-        bin; a split needs a gain above EPS.
+        is fixed for the fit: the (d, n) keys j·B + bin, the width B, the
+        mask of bins past each feature's last and a (d, n) int64 buffer.  Each
+        level adds node·(d·B) to the keys in that buffer, and one pair of
+        ``bincount`` calls over it fills the gradient and hessian histograms
+        of the whole level.  A feature's keys form one row of the buffer, so
+        each bin adds its rows in index order and every histogram equals a
+        per-node one bit for bit.  Node sums stay numpy's pairwise
+        ``grad[idx].sum()``; histogram totals differ in the last bit.  Ties
+        go to the first feature, then the first bin; a split needs a gain
+        above EPS.
         """
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
-        n, d = binned.shape
-        keys, width, unsplittable = layout
+        keys, width, unsplittable, flat = layout
+        d, n = keys.shape
         max_depth = max(self.params.max_depth, 0) if width > 1 else 0
-        weights = (np.repeat(grad, d), np.repeat(hess, d))
+        weights = (np.tile(grad, d), np.tile(hess, d))
         leaf_values = np.empty(n)
         level, size = [(len(nodes), np.arange(n))], len(nodes) + 1
         for depth in range(max_depth + 1):  # the level at max_depth does not split
@@ -196,9 +207,9 @@ class GradientBoostedTrees:
                 owner = np.full(n, m)  # rows of other nodes land in a spare node m
                 for k, (_, idx, _, _) in enumerate(grow):
                     owner[idx] = k
-                flat = (keys + (owner * (d * width))[:, None]).ravel()
+                np.add(keys, owner * (d * width), out=flat)
                 g_left, h_left = (
-                    np.bincount(flat, weights=w, minlength=(m + 1) * d * width)
+                    np.bincount(flat.ravel(), weights=w, minlength=(m + 1) * d * width)
                     .reshape(m + 1, d, width)[:m]
                     .cumsum(axis=2)[:, :, :-1]
                     for w in weights
@@ -224,13 +235,27 @@ class GradientBoostedTrees:
                     leaf_values[idx] = nodes[-1][3]
                     continue
                 j, b = splits[node_id]
-                mask = binned[idx, j] <= b
+                mask = keys[j][idx] <= j * width + b
                 nodes.append((j, b, size, 0.0))
                 next_level += [(size, idx[mask]), (size + 1, idx[~mask])]
                 size += 2
             if not next_level:
                 return leaf_values, depth
             level = next_level
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``a`` in ``np.unique(a, axis=0)`` order, and the
+    index of each row's distinct row: one ``lexsort`` over the columns,
+    first column first, and a comparison of adjacent sorted rows."""
+    order = np.lexsort(a.T[::-1]) if a.shape[1] else np.arange(len(a))
+    ordered = a[order]
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -256,8 +281,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _log_loss(y: np.ndarray, p: np.ndarray, weight: np.ndarray) -> float:
+    # with 0/1 labels the dropped term of y·log p + (1 - y)·log(1 - p) is an exact ±0.0
     p = np.clip(p, EPS, 1.0 - EPS)
-    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    terms = np.log(np.where(y == 1.0, p, 1.0 - p))
     return float(-(weight * terms).sum() / weight.sum())
 
 
@@ -367,15 +393,25 @@ class EvalReport:
 def stratified_split(
     labels: np.ndarray, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic per-class shuffle split; returns (train_idx, test_idx)."""
+    """Deterministic per-class shuffle split; returns (train_idx, test_idx).
+
+    Every class must keep at least one training and one test row."""
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise ValueError(
+            f"train_fraction (--train-fraction) must be in (0, 1), got {train_fraction}"
+        )
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for value in _distinct(labels):
         idx = np.flatnonzero(labels == value)
         rng.shuffle(idx)
         cut = int(round(train_fraction * len(idx)))
+        if not 0 < cut < len(idx):
+            side = "training" if cut == 0 else "test"
+            raise ValueError(
+                f"train_fraction (--train-fraction) {train_fraction} leaves label {value} "
+                f"of {len(idx)} rows without {side} rows"
+            )
         train_parts.append(idx[:cut])
         test_parts.append(idx[cut:])
     return (
@@ -416,10 +452,10 @@ def evaluate(
     else:
         raise ValueError(f"unknown subset mode {subset.mode!r}")
 
-    distinct, counts = np.unique(
-        np.column_stack([x_train, y01[train_idx]]), axis=0, return_counts=True
+    distinct, inverse = _distinct_rows(np.column_stack([x_train, y01[train_idx]]))
+    model = GradientBoostedTrees(params).fit(
+        distinct[:, :-1], distinct[:, -1], np.bincount(inverse)
     )
-    model = GradientBoostedTrees(params).fit(distinct[:, :-1], distinct[:, -1], counts)
     predicted = model.predict(x_test).astype(np.float64)
     actual = y01[test_idx]
     accuracy = float((predicted == actual).mean())

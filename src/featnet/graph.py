@@ -122,7 +122,14 @@ class SpanningTree:
     @property
     def total_weight(self) -> float:
         """Edge weights added left to right, in the order Kruskal chose them."""
-        return sum(self.weight.tolist())
+        return _sum_in_order(self.weight)
+
+
+def _sum_in_order(values) -> float:
+    """0.0 + v0 + v1 + ... added left to right in float64.  The builtin ``sum``
+    compensates float sums from Python 3.12 on, so its result depends on the
+    interpreter."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def maximum_spanning_tree(g: WeightedGraph) -> SpanningTree:
@@ -227,7 +234,7 @@ def estimate_gamma(
         )
     # mle: k_min = 1, continuous approximation over per-node degrees
     m = sum(count for _, count, _ in dist)
-    log_sum = sum(count * math.log(k / 0.5) for k, count, _ in dist if count > 0)
+    log_sum = _sum_in_order([count * math.log(k / 0.5) for k, count, _ in dist if count > 0])
     return GammaEstimate(
         gamma=1.0 + m / log_sum,
         method=method,

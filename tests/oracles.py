@@ -8,11 +8,19 @@ shares no code with the package under test.  The one exception is
 """
 
 import csv
+import functools
 import io
 import itertools
 import math
+import operator
 
 import numpy as np
+
+
+def add_in_order(values):
+    """0.0 + v0 + v1 + ... one float addition at a time, left to right; the
+    builtin ``sum`` compensates float sums from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def rank_average_ties(values):
@@ -348,15 +356,15 @@ def kruskal_dict(g):
     return (
         tuple(chosen),
         degree,
-        sum(w for _, _, w in chosen),
+        add_in_order(w for _, _, w in chosen),
         len(set(weights)) == len(weights),
     )
 
 
 def modularity_dict(g, assignment):
     """Q summed in the package's order: strengths, edge terms, then node pairs."""
-    strength = {u: sum(g.adjacency[u].values()) for u in g.nodes}
-    two_m = sum(strength.values())
+    strength = {u: add_in_order(g.adjacency[u].values()) for u in g.nodes}
+    two_m = add_in_order(strength.values())
     if two_m <= 0.0:
         raise ValueError("modularity needs positive total edge weight")
     q = 0.0
@@ -417,8 +425,8 @@ def _louvain_local_moves(n, edges, min_gain):
         else:
             adjacency[u][v] = adjacency[u].get(v, 0.0) + w
             adjacency[v][u] = adjacency[v].get(u, 0.0) + w
-    strength = [sum(adjacency[u].values()) + 2.0 * self_weight[u] for u in range(n)]
-    m = sum(strength) / 2.0
+    strength = [add_in_order(adjacency[u].values()) + 2.0 * self_weight[u] for u in range(n)]
+    m = add_in_order(strength) / 2.0
     comm = list(range(n))
     if m <= 0.0:
         return comm

@@ -280,6 +280,13 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
         # no tree node has degree above 10, so no feature is selected
         (["eval", "--hub-threshold", "9", "--rounds", "1"], "--hub-threshold"),
         (["stability", "--seed", "-1"], "--seed"),
+        # about 30 rows per class: every one of them would train, none would test
+        (["eval", "--features", "feat0,feat1", "--train-fraction", "0.9999"], "--train-fraction"),
+        # leaf values times 1e308 overflow the margins
+        (
+            ["eval", "--features", "feat0,feat1", "--learning-rate", "1e308", "--rounds", "2"],
+            "--learning-rate",
+        ),
     ],
 )
 def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):

@@ -1,8 +1,10 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from featnet import (
     FeatureSubsetSpec,
@@ -14,7 +16,7 @@ from featnet import (
 )
 from featnet.dataset import LABEL_LEGITIMATE
 from featnet.errors import DegenerateLabels, RankDeficient
-from featnet.evaluation import _quantile, stratified_split
+from featnet.evaluation import _distinct_rows, _quantile, stratified_split
 
 from .oracles import gbt_recursive
 
@@ -192,19 +194,68 @@ HUB_FEATURES = [
 ]
 
 
+def reference_split(table, mode, seed):
+    """Training features and 0/1 labels and test features of one 80/20
+    split of the shipped data: the hub features, or 5 PCA components fitted
+    on the training rows."""
+    train, test = stratified_split(table.labels, 0.8, seed)
+    raw = table.rows.astype(np.float64)
+    if mode == "hub":
+        data = raw[:, [table.feature_names.index(f) for f in HUB_FEATURES]]
+        x_train, x_test = data[train], data[test]
+    else:
+        pca = PowerIterationPCA(n_components=5).fit(raw[train])
+        x_train, x_test = pca.transform(raw[train]), pca.transform(raw[test])
+    y = (table.labels == LABEL_LEGITIMATE).astype(np.float64)
+    return x_train, y[train], x_test
+
+
 @pytest.mark.parametrize("seed", [42, 45])
 @pytest.mark.parametrize("mode", ["hub", "pca"])
 def test_gbt_equals_recursive_oracle_on_reference(reference_table, mode, seed):
-    train, test = stratified_split(reference_table.labels, 0.8, seed)
-    raw = reference_table.rows.astype(np.float64)
-    if mode == "hub":
-        data = raw[:, [reference_table.feature_names.index(f) for f in HUB_FEATURES]]
-        x_train, x_test = data[train], data[test]
-    else:
-        pca = PowerIterationPCA(n_components=5, seed=seed).fit(raw[train])
-        x_train, x_test = pca.transform(raw[train]), pca.transform(raw[test])
-    y = (reference_table.labels == LABEL_LEGITIMATE).astype(np.float64)
-    assert_matches_recursive_oracle(x_train, y[train], x_test, GBTParams(n_rounds=8))
+    x_train, y_train, x_test = reference_split(reference_table, mode, seed)
+    assert_matches_recursive_oracle(x_train, y_train, x_test, GBTParams(n_rounds=8))
+
+
+# sha256 of _nodes, _roots, loss_curve_ and predict_proba on the test rows for the
+# default fit on the distinct training rows, as evaluate runs it; recorded before the
+# histogram keys became feature-major and prediction walked the trees in blocks
+BOOSTER_SHA256 = {
+    ("hub", 42): (
+        "2478241b6e84b2b53ab501c9eda82ab45251410aea30d25fb5f1f48c6776ef41",
+        "cd2bc661141cc84da31be85615276c5a0bd6bdce1751c514bb5c8da683f68bdd",
+        "88533eb8bfe62c5a0911dbcec913b1c5ff235af7aef9358a8979f0343ccf1eea",
+        "f5af4ad79dcf26a804a0f25658df33b8513f2e3a77881c2fc6ea9261a2a02d9d",
+    ),
+    ("hub", 45): (
+        "4a9f6c41b64d55b90db59b357a582085a771ff6b0ea92c23e057f7a6c3144e66",
+        "a148abc833c246745a3e8307d838ba63c3271ef7a99aebf10298f241aae44d13",
+        "61136434e9a643c48d133491bd0986fa7449fffccb6c467606f05afc1c3b8b87",
+        "3a8c0d1698174bcc95bfc42e0c9ad3348aefa13e90f9b9f50f91cc71e5e447b6",
+    ),
+    ("pca", 42): (
+        "9395e2f94c977beaf23fa1c972307bf542ea8980cf8576b653825f87ce2bc123",
+        "572035a9f7f4c1bb7d22ba54f756a8e71eec9335d979d74a8326c4de3a1797d3",
+        "24aada39e3e22bb3871dbe776054b4ded2487230a3e04a02c09df7e2fd6f01a1",
+        "9377835dd666649208ff32c2f82c0c9566ac2e1866c298c6c6100aca27c65230",
+    ),
+    ("pca", 45): (
+        "0b6554f67f8852bf6773da530bb6a90379a803286f68631cc5925cee0f51666e",
+        "0a66e5b04a248a1d8b3f2a6848a30e445912cfbbc18f2af29c8f0f4f40c393ee",
+        "5bbd7c165054c7ac4d4c382f2f1826ebb98446f6719a0ef0183e97e1c6338dd2",
+        "79f5a49931e570f1a53a819bdc77d78adf218ab8457036ffa9a34a9dcbc0acba",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, seed", sorted(BOOSTER_SHA256))
+def test_booster_is_pinned_bit_for_bit_on_reference(reference_table, mode, seed):
+    x_train, y_train, x_test = reference_split(reference_table, mode, seed)
+    distinct, counts = np.unique(np.column_stack([x_train, y_train]), axis=0, return_counts=True)
+    model = GradientBoostedTrees().fit(distinct[:, :-1], distinct[:, -1], counts)
+    arrays = (model._nodes, model._roots, np.array(model.loss_curve_), model.predict_proba(x_test))
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert digests == BOOSTER_SHA256[mode, seed]
 
 
 def test_gbt_equals_recursive_oracle_with_quantile_bins():
@@ -255,8 +306,18 @@ def gbt_problems(draw):
     return X, y, rng.normal(size=(5, X.shape[1])), params
 
 
+def _many_rounds_problem():
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.normal(size=30), rng.integers(-1, 2, size=30).astype(np.float64)])
+    y = (X[:, 0] + rng.normal(scale=0.8, size=30) > 0).astype(np.float64)
+    params = GBTParams(n_rounds=37, learning_rate=0.7, max_depth=3, reg_lambda=0.3)
+    return X, y, rng.normal(size=(5, 2)), params
+
+
 @settings(max_examples=150, deadline=None)
 @given(gbt_problems())
+# 37 trees: prediction walks two full blocks of 16 and a partial one
+@example(_many_rounds_problem())
 def test_gbt_equals_recursive_oracle_bitwise(problem):
     # no columns, constant and duplicated columns, ties in gain across
     # features, quantile bins, depth -1 to 5, a min_child_weight that blocks
@@ -312,18 +373,8 @@ def test_counts_equal_repeated_rows(n, d, seed, data):
 @pytest.mark.parametrize("mode", ["hub", "pca"])
 def test_counts_equal_repeated_rows_on_reference(reference_table, mode, seed):
     # the distinct training rows and their counts, as evaluate fits them
-    train, test = stratified_split(reference_table.labels, 0.8, seed)
-    raw = reference_table.rows.astype(np.float64)
-    if mode == "hub":
-        data = raw[:, [reference_table.feature_names.index(f) for f in HUB_FEATURES]]
-        x_train, x_test = data[train], data[test]
-    else:
-        pca = PowerIterationPCA(n_components=5).fit(raw[train])
-        x_train, x_test = pca.transform(raw[train]), pca.transform(raw[test])
-    y = (reference_table.labels == LABEL_LEGITIMATE).astype(np.float64)
-    distinct, counts = np.unique(
-        np.column_stack([x_train, y[train]]), axis=0, return_counts=True
-    )
+    x_train, y_train, x_test = reference_split(reference_table, mode, seed)
+    distinct, counts = np.unique(np.column_stack([x_train, y_train]), axis=0, return_counts=True)
     assert_counts_match_repeated_rows(
         distinct[:, :-1], distinct[:, -1], counts, x_test, GBTParams(n_rounds=40)
     )
@@ -347,6 +398,36 @@ def test_rejects_learning_rate_that_is_not_positive_and_finite(rate):
         GBTParams(learning_rate=rate)
 
 
+def test_rejects_learning_rate_whose_margins_overflow():
+    # leaf values near 2 times 1e308 overflow; the fit used to return a
+    # classifier that predicted one class everywhere
+    X = np.repeat([[0.0], [1.0]], 50, axis=0)
+    y = np.repeat([0.0, 1.0], 50)
+    params = GBTParams(n_rounds=2, learning_rate=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="learning_rate .* 1e\\+308"):
+            GradientBoostedTrees(params).fit(X, y)
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0]), min_size=3, max_size=3),
+        max_size=30,
+    ),
+    st.integers(0, 3),
+)
+def test_distinct_rows_equal_numpy_unique(rows, d):
+    # repeated rows, and 0.0 and -0.0 count as one value, as in np.unique
+    a = np.array(rows, dtype=np.float64).reshape(len(rows), 3)[:, :d]
+    for data in (a, a.astype(np.int32)):
+        distinct, inverse = _distinct_rows(data)
+        expected, counts = np.unique(data, axis=0, return_counts=True)
+        assert distinct.shape == expected.shape and (distinct == expected).all()
+        assert np.array_equal(np.bincount(inverse, minlength=len(distinct)), counts)
+        assert (distinct[inverse] == data).all()
+
+
 # --- splits and evaluation ----------------------------------------------------
 
 def test_stratified_split_properties():
@@ -365,6 +446,14 @@ def test_stratified_split_properties():
 def test_stratified_split_validates_fraction():
     with pytest.raises(ValueError):
         stratified_split(np.array([1, -1]), 1.0, seed=0)
+
+
+@pytest.mark.parametrize("fraction, side", [(0.99, "test"), (0.01, "training")])
+def test_stratified_split_keeps_rows_of_each_class_on_both_sides(fraction, side):
+    # 40 rows of class -1: 0.99 keeps all of them for training, 0.01 none
+    labels = np.array([-1] * 40 + [1] * 600)
+    with pytest.raises(ValueError, match=f"--train-fraction.* label -1 .*without {side} rows"):
+        stratified_split(labels, fraction, seed=0)
 
 
 def make_table(n=120, seed=0):

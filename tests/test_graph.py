@@ -26,6 +26,7 @@ from featnet.graph import _quoteattr, write_dot, write_graphml
 
 from .oracles import (
     DictGraph,
+    add_in_order,
     best_spanning_tree_exhaustive,
     kruskal_dict,
     louvain_dict,
@@ -427,6 +428,23 @@ def test_gamma_mle_formula():
     expected = 1.0 + 5 / (4 * math.log(1 / 0.5) + 1 * math.log(4 / 0.5))
     assert est.gamma == pytest.approx(expected, abs=1e-12)
     assert est.r_squared is None
+
+
+def test_float_sums_add_left_to_right_on_every_python():
+    # the builtin sum compensates from Python 3.12 on, which would move
+    # total_weight and the mle gamma in the manifest with the interpreter
+    weights = [0.1] * 10 + [1e16, 1.0, -1e16]
+    names = [f"n{i:02d}" for i in range(len(weights) + 1)]
+    path = WeightedGraph(names, [(names[i], names[i + 1], w) for i, w in enumerate(weights)])
+    tree = maximum_spanning_tree(path)
+    chosen = tree.weight.tolist()
+    assert math.fsum(chosen) != add_in_order(chosen)
+    assert tree.total_weight == add_in_order(chosen)
+
+    dist = [(k, count, count / 6) for k, count in zip((1, 2, 3, 4), (1, 3, 1, 1))]
+    terms = [count * math.log(k / 0.5) for k, count, _ in dist]
+    assert math.fsum(terms) != add_in_order(terms)
+    assert estimate_gamma(dist, method="mle").gamma == 1.0 + 6 / add_in_order(terms)
 
 
 def test_gamma_rejects_unknown_method():
