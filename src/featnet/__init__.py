@@ -19,14 +19,6 @@ from .dataset import (
     partition,
     save_csv,
 )
-from .evaluation import (
-    EvalReport,
-    FeatureSubsetSpec,
-    GBTParams,
-    GradientBoostedTrees,
-    PowerIterationPCA,
-    evaluate,
-)
 from .graph import (
     GammaEstimate,
     SpanningTree,
@@ -39,6 +31,7 @@ from .graph import (
 )
 from .pipeline import (
     EvalComparison,
+    GBTParams,
     PipelineConfig,
     RunManifest,
     run_eval,
@@ -46,6 +39,18 @@ from .pipeline import (
     select_connected_hubs,
     stability_check,
 )
+
+# the classifier loads on first use, so commands that never evaluate skip its import
+_EVALUATION = ("EvalReport", "FeatureSubsetSpec", "GradientBoostedTrees", "PowerIterationPCA", "evaluate")
+
+
+def __getattr__(name):
+    if name in _EVALUATION:
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CommunityPartition",

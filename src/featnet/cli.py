@@ -20,9 +20,9 @@ from pathlib import Path
 
 from .correlation import CORRELATION_MODES
 from .errors import FeatnetError
-from .evaluation import GBTParams
 from .pipeline import (
     PARTITION_ORDER,
+    GBTParams,
     PipelineConfig,
     export_matrices,
     run_eval,

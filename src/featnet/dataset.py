@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -101,21 +102,34 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> FeatureTable:
     ``fmt`` is one of ``csv``, ``arff``, ``auto``.  In auto mode the file
     extension decides; failing that, a leading ``@`` line marks ARFF.  The
     last column is the class label.  A leading UTF-8 byte-order mark is skipped.
+    Line ends become LF, as text-mode reading makes them.  Only the header is
+    decoded; a clean body is read straight from its bytes.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     parsers = {"csv": _parse_csv, "arff": _parse_arff}
     if fmt == "auto":
         fmt = path.suffix.lower()[1:]
         if fmt not in parsers:
-            fmt = "arff" if text.lstrip().startswith("@") else "csv"
+            fmt = "arff" if _text(data).lstrip().startswith("@") else "csv"
     if fmt not in parsers:
         raise ValueError(f"unknown format {fmt!r}")
-    return _build_table(*parsers[fmt](text), source=str(path))
+    # a clean body may follow the header, which ends at an LF: the first CSV record,
+    # each name plain or wholly quoted, or the ARFF lines up to the first @data
+    name = rb'(?:[^",\n]*|"(?:[^"]|"")*")'
+    pattern = rb"\A%s(?:,%s)*\n" % (name, name) if fmt == "csv" else rb"(?im)^[ \t]*@data.*\n"
+    header = re.search(pattern, data)
+    end = header.end() if header else 0
+    names, cells = parsers[fmt](_text(data[:end]))  # a line error here is the file's first
+    matrix = None if cells or len(names) < 2 else _bulk_matrix(data, end, len(names))
+    if matrix is None:
+        return _line_table(fmt, *parsers[fmt](_text(data)), source=str(path))
+    return _build_table(names, matrix, str(path))
 
 
 def loads_csv(text: str, source: str = "<string>") -> FeatureTable:
-    return _build_table(*_parse_csv(text), source=source)
+    return _line_table("csv", *_parse_csv(text), source=source)
 
 
 def save_csv(table: FeatureTable, path: str | Path) -> None:
@@ -155,29 +169,54 @@ def _build_table(names: list[str], matrix: np.ndarray, source: str) -> FeatureTa
     return FeatureTable(tuple(names[:-1]), matrix[:, :-1], matrix[:, -1], source)
 
 
-def _bulk_matrix(body: str, n_cols: int) -> np.ndarray | None:
-    """The (n, n_cols) int64 matrix of a clean body, or None for the line parser.
+def _text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line=line) from None
 
-    Clean: rows of exactly n_cols comma-separated ASCII ``[+-]?[0-9]+`` tokens
-    of at most 18 digits (so none overflows int64), ended by LF or CRLF.
+
+def _bulk_matrix(data: bytes, end: int, n_cols: int) -> np.ndarray | None:
+    """The (n, n_cols) int64 matrix of the body data[end:] if it is clean, else None.
+
+    Clean: rows of n_cols comma-separated ASCII ``[+-]?[0-9]+`` tokens of at most
+    18 digits (so none overflows int64), each ended by an LF; blank lines only at
+    the end.  Each token is read by Horner's rule, value * 10 + digit.
     """
-    body = body.replace("\r\n", "\n").rstrip("\n")
-    if n_cols < 2 or not body.isascii():
+    stop = len(data)
+    while stop > end and data[stop - 1] == 10:  # trailing blank lines
+        stop -= 1
+    # data[end - 1] is the LF that ends the header: the body gets an LF at each end
+    b = np.frombuffer(data if stop < len(data) else data + b"\n", np.uint8)[end - 1:stop + 1]
+    digit = b - 48  # wraps below "0": a digit iff <= 9
+    is_digit = digit <= 9
+    is_sep = (b == 44) | (b == 10)
+    is_sign = (b == 43) | (b == 45)
+    first = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # a token's first digit is b[first + 1]
+    n_seps, n_signs = np.count_nonzero(is_sep), np.count_nonzero(is_sign)
+    # every byte is a separator, a sign or a digit, every sign opens its token,
+    # every token holds one digit run, and every row n_cols tokens
+    if not (n_seps + n_signs + np.count_nonzero(is_digit) == len(b)
+            and np.count_nonzero(is_sign[1:] & is_sep[:-1]) == n_signs
+            and len(first) == n_seps - 1
+            and (np.diff(np.searchsorted(first, np.flatnonzero(b == 10))) == n_cols).all()):
         return None
-    b = np.frombuffer(f"\n{body}\n".encode("ascii"), dtype=np.uint8)  # an LF at each end
-    seps = np.flatnonzero((b == 44) | (b == 10))
-    lead = (b[seps[:-1] + 1] == 43) | (b[seps[:-1] + 1] == 45)  # a sign opening a token
-    n_digits = np.diff(seps) - 1 - lead
-    # clean iff every byte is a separator, a token's leading sign or a digit
-    if not (len(seps) + lead.sum() + ((b >= 48) & (b <= 57)).sum() == len(b)
-            and 1 <= n_digits.min() and n_digits.max() <= 18
-            and (np.diff(np.flatnonzero(b[seps] == 10)) == n_cols).all()):
-        return None
-    flat = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
-    return flat.reshape(-1, n_cols)
+    sign = 1 - 2 * (b[first] == 45).view(np.int8)  # the byte before a first digit
+    value = (digit[1:][first].view(np.int8) * sign).astype(np.int64)
+    token = np.flatnonzero(is_digit[2:][first])  # the tokens with a second digit
+    at, n_digits = first[token] + 2, 2
+    while token.size and n_digits <= 18:
+        value[token] = value[token] * 10 + sign[token] * digit[at]
+        more = is_digit[at + 1]
+        token, at, n_digits = token[more], at[more] + 1, n_digits + 1
+    return None if token.size else value.reshape(-1, n_cols)  # None: a token of 19+ digits
 
 
-def _cells_matrix(names: list[str], cells: list[tuple[int, list[int]]]) -> np.ndarray:
+def _line_table(fmt: str, names: list[str], cells: list, source: str) -> FeatureTable:
+    if not names:
+        what = "header row" if fmt == "csv" else "@attribute declarations"
+        raise ParseError(f"no {what} found", line=1)
     if not cells:
         raise ParseError("no data rows found", line=1)
     if len(names) < 2:
@@ -185,7 +224,7 @@ def _cells_matrix(names: list[str], cells: list[tuple[int, list[int]]]) -> np.nd
     for line_no, values in cells:
         if len(values) != len(names):
             raise ParseError(f"expected {len(names)} values, got {len(values)}", line=line_no)
-    return np.array([values for _, values in cells], dtype=np.int64)
+    return _build_table(names, np.array([values for _, values in cells], dtype=np.int64), source)
 
 
 def _to_int(token: str, line_no: int) -> int:
@@ -199,27 +238,20 @@ def _to_int(token: str, line_no: int) -> int:
     return value
 
 
-def _parse_csv(text: str) -> tuple[list[str], np.ndarray]:
-    buf = io.StringIO(text)  # tell() is the offset of the rest of text
-    reader = csv.reader(buf)
-    names: list[str] | None = None
+def _parse_csv(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
+    names: list[str] = []
     cells: list[tuple[int, list[int]]] = []
-    for line_no, record in enumerate(reader, start=1):
+    for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not record or all(not f.strip() for f in record):
             continue
-        if names is None:
+        if not names:
             names = [f.strip() for f in record]
-            matrix = _bulk_matrix(text[buf.tell():], len(names))
-            if matrix is not None:
-                return names, matrix
             continue
         cells.append((line_no, [_to_int(tok, line_no) for tok in record]))
-    if names is None:
-        raise ParseError("no header row found", line=1)
-    return names, _cells_matrix(names, cells)
+    return names, cells
 
 
-def _parse_arff(text: str) -> tuple[list[str], np.ndarray]:
+def _parse_arff(text: str) -> tuple[list[str], list[tuple[int, list[int]]]]:
     """Parse the minimal ARFF subset: @relation, nominal @attribute, @data.
 
     '%' comments and blank lines are skipped.  Sparse rows ('{...}') and
@@ -228,8 +260,7 @@ def _parse_arff(text: str) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
     cells: list[tuple[int, list[int]]] = []
     in_data = False
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
@@ -248,10 +279,6 @@ def _parse_arff(text: str) -> tuple[list[str], np.ndarray]:
             names.append(name)
             continue
         if line.lower().startswith("@data"):
-            if not in_data:  # the first @data line: try the rest in bulk
-                matrix = _bulk_matrix("\n".join(lines[line_no:]), len(names))
-                if matrix is not None:
-                    return names, matrix
             in_data = True
             continue
         if not in_data:
@@ -259,6 +286,4 @@ def _parse_arff(text: str) -> tuple[list[str], np.ndarray]:
         if line.startswith("{"):
             raise ParseError("sparse ARFF rows are not supported", line=line_no)
         cells.append((line_no, [_to_int(tok, line_no) for tok in line.split(",")]))
-    if not names:
-        raise ParseError("no @attribute declarations found", line=1)
-    return names, _cells_matrix(names, cells)
+    return names, cells

@@ -17,26 +17,13 @@ import numpy as np
 
 from .dataset import FeatureTable, LABEL_LEGITIMATE
 from .errors import DegenerateLabels, RankDeficient
+from .pipeline import GBTParams
 
 EPS = 1e-12
 _LEAF_THRESHOLD = np.iinfo(np.int32).max  # every bin is <= it: a leaf keeps its rows
 # a row goes to `left` if its bin is <= `bin`, else to left + 1; a leaf is its own left
 _NODE = np.dtype([("feature", "i4"), ("bin", "i4"), ("left", "i4"), ("value", "f8")])
 _TREE_BLOCK = 16  # trees predict_proba walks at once: its index arrays hold block × rows
-
-
-@dataclass(frozen=True)
-class GBTParams:
-    n_rounds: int = 200
-    learning_rate: float = 0.1
-    max_depth: int = 4
-    reg_lambda: float = 1.0
-    min_child_weight: float = 1.0
-    n_bins: int = 256
-
-    def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:  # False for NaN
-            raise ValueError(f"learning rate must be positive and finite: {self.learning_rate!r}")
 
 
 class GradientBoostedTrees:

@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,8 +21,10 @@ from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import FeatureTable, Partition, class_proportions, load_dataset, partition
 from .errors import DegenerateDistribution, FeatnetError
-from .evaluation import EvalReport, FeatureSubsetSpec, GBTParams, evaluate
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
+
+if TYPE_CHECKING:  # run_eval imports evaluation when it runs
+    from .evaluation import EvalReport
 
 SCHEMA_VERSION = 1
 
@@ -29,6 +32,20 @@ PARTITION_ORDER = tuple(p.value for p in Partition)
 
 # the files analyze writes in each partition directory
 ANALYZE_FILES = ("hubs.csv", "communities.csv", "mst.dot", "mst.graphml", "degree_dist.csv")
+
+
+@dataclass(frozen=True)
+class GBTParams:
+    n_rounds: int = 200
+    learning_rate: float = 0.1
+    max_depth: int = 4
+    reg_lambda: float = 1.0
+    min_child_weight: float = 1.0
+    n_bins: int = 256
+
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate < np.inf:  # False for NaN
+            raise ValueError(f"learning rate must be positive and finite: {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -303,6 +320,8 @@ def run_eval(cfg: PipelineConfig) -> EvalComparison:
     The hub features are the config's eval_features or, when it names none,
     the connected-hub selection computed from the all-websites tree.
     """
+    from .evaluation import FeatureSubsetSpec, evaluate  # only eval loads the classifier
+
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
     features = cfg.eval_features
     if not features:

@@ -28,6 +28,50 @@ def test_import_leaves_out_network_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_only_eval_imports_the_evaluation_module(tmp_path):
+    # featnet.evaluation is a share of start-up that analyze, export and stability never use
+    root = Path(__file__).resolve().parent.parent
+    data = str(root / "data" / "phishing_websites.arff")
+    runs = [
+        ["analyze", "--input", data, "--out", str(tmp_path / "analyze")],
+        ["export", "--input", data, "--out", str(tmp_path / "export")],
+        ["stability", "--input", data, "--n-subsamples", "2"],
+    ]
+    code = (
+        "import sys\n"
+        "from featnet.cli import main\n"
+        "loaded = ['featnet.evaluation' in sys.modules]\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('featnet.evaluation' in sys.modules)\n"
+        "print('check', loaded)\n"
+        f"assert main(['eval', '--input', {data!r}, '--n-seeds', '1', '--rounds', '2']) == 0\n"
+        "import featnet\n"
+        "print('check', featnet.GradientBoostedTrees.__name__, featnet.evaluate.__name__)\n"
+        "names = {}\n"
+        "exec('from featnet import *', names)\n"
+        "print('check', sorted(set(featnet.__all__) - set(names)), len(featnet.__all__))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    checks = [line for line in result.stdout.splitlines() if line.startswith("check ")]
+    assert checks == [
+        "check [False, False, False, False]",
+        "check GradientBoostedTrees evaluate",
+        "check [] 35",
+    ]
+
+
+def test_invalid_utf8_is_data_error_naming_its_line(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"a,b,Result\n1,0,1\n\r\n-1,\xff,1\n")
+    code = main(["analyze", "--input", str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 4: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

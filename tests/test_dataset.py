@@ -339,3 +339,122 @@ def test_cell_beyond_int64_is_parse_error(cell, ragged):
         loads_csv(f"a,b,Result\n1,1,1\n1,{cell},1\n{tail}")
     assert err.value.line == 3
     assert cell in str(err.value)
+
+
+def _shipped_prefix(n_rows=400):
+    """The shipped ARFF header and its first n_rows body rows, as bytes.
+
+    A prefix keeps each line-parser run short; every row is as shipped.
+    """
+    from .conftest import REFERENCE_ARFF
+
+    header, body = REFERENCE_ARFF.read_bytes().split(b"@data\n", 1)
+    return header + b"@data\n", body.split(b"\n")[:n_rows]
+
+
+def _with_cell(rows, r, c, token):
+    cells = rows[r].split(b",")
+    cells[c] = token
+    return rows[:r] + [b",".join(cells)] + rows[r + 1:]
+
+
+DIGITS = b"1234567890123456789"
+# (id, rewrite of the body rows, whether the body stays clean for the byte decoder)
+BODY_MUTATIONS = [
+    ("as-shipped", lambda rows: rows, True),
+    ("row-dropped", lambda rows: rows[:200] + rows[201:], True),
+    ("row-cut-at-comma", lambda rows: rows[:200] + [rows[200][:30].rsplit(b",", 1)[0]] + rows[201:], False),
+    ("row-cut-mid-token", lambda rows: rows[:200] + [rows[200][:-1]] + rows[201:], False),
+    ("last-row-cut", lambda rows: rows[:-1] + [rows[-1][:20]], False),
+    ("comma-added-mid-row", lambda rows: rows[:200] + [rows[200].replace(b",", b",,", 1)] + rows[201:], False),
+    ("comma-added-at-end", lambda rows: rows[:200] + [rows[200] + b","] + rows[201:], False),
+    ("comma-dropped", lambda rows: rows[:200] + [rows[200].replace(b",", b"", 1)] + rows[201:], False),
+    ("code-2", lambda rows: _with_cell(rows, 200, 5, b"2"), True),
+    ("code-plus-1", lambda rows: _with_cell(rows, 200, 5, b"+1"), True),
+    ("code-minus-0", lambda rows: _with_cell(rows, 200, 5, b"-0"), True),
+    ("code-lone-minus", lambda rows: _with_cell(rows, 200, 5, b"-"), False),
+    ("code-space-1", lambda rows: _with_cell(rows, 200, 5, b" 1"), False),
+    ("label-minus-2", lambda rows: _with_cell(rows, 200, 30, b"-2"), True),
+    *[
+        (f"digits-{n}", lambda rows, n=n: _with_cell(rows, 200, 5, b"-"[: n % 2] + DIGITS[:n]), n <= 18)
+        for n in range(1, 20)
+    ],
+    *[
+        (f"zero-padded-{n}", lambda rows, n=n: _with_cell(rows, 200, 5, b"-" + b"0" * (n - 1) + b"1"), n <= 18)
+        for n in (2, 18, 19)
+    ],
+    # one token of every length from 1 to 18 digits in one body: +-1 padded with zeros
+    ("mixed-lengths", lambda rows: [
+        b",".join([b"-+"[r % 2: r % 2 + 1] + b"0" * (r % 18) + b"1"] + row.split(b",")[1:])
+        for r, row in enumerate(rows)
+    ], True),
+    ("crlf-line-ends", lambda rows: [row + b"\r" for row in rows], True),
+    ("lone-cr", lambda rows: rows[:200] + [rows[200].replace(b",", b"\r", 1)] + rows[201:], False),
+    ("nul", lambda rows: _with_cell(rows, 200, 5, b"\x00"), False),
+    ("non-ascii", lambda rows: _with_cell(rows, 200, 5, "é".encode()), False),
+    ("non-ascii-digit", lambda rows: _with_cell(rows, 200, 5, "١".encode()), False),
+    ("trailing-blank-lines", lambda rows: rows + [b"", b""], True),
+]
+
+
+def _load_noting_bulk(monkeypatch, path):
+    """load_dataset's outcome, and whether the byte decoder returned the matrix."""
+    from featnet import dataset
+
+    decoded = []
+    bulk_matrix = dataset._bulk_matrix
+    monkeypatch.setattr(dataset, "_bulk_matrix", lambda *a: decoded.append(bulk_matrix(*a)) or decoded[-1])
+    result = outcome(lambda: load_dataset(path))
+    return result, any(m is not None for m in decoded)
+
+
+@pytest.mark.parametrize("mutate, clean", [m[1:] for m in BODY_MUTATIONS], ids=[m[0] for m in BODY_MUTATIONS])
+def test_mutated_shipped_body_matches_line_parser(tmp_path, monkeypatch, mutate, clean):
+    # a clean body is decoded from its bytes; any other goes to the line parser
+    header, rows = _shipped_prefix()
+    path = tmp_path / "table.arff"
+    path.write_bytes(header + b"\n".join(mutate(rows)) + b"\n")
+    expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), "arff"))
+    assert _load_noting_bulk(monkeypatch, path) == (expected, clean)
+
+
+def test_invalid_utf8_in_shipped_body_is_parse_error_naming_its_line(tmp_path):
+    header, rows = _shipped_prefix()
+    path = tmp_path / "table.arff"
+    path.write_bytes(header + b"\n".join(_with_cell(rows, 200, 5, b"\xff")) + b"\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_lines(path.read_text(encoding="utf-8"), "arff")
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert err.value.line == header.count(b"\n") + 201
+    assert "invalid UTF-8 byte 0xff" in str(err.value)
+
+
+ARFF_HEAD = "@attribute a {-1,0,1}\n@attribute Result {-1,1}\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, text, clean",
+    [
+        ("csv", '"f0","f,1","R""x"\n1,1,-1\n', True),
+        ("csv", 'f0,"f\n1",Result\n1,1,1\n', True),  # a quoted name may span lines
+        ("csv", 'f0,f1,"Result\n1,1,1\n0,0,1\n', False),  # the quoted name runs to the end
+        ("csv", 'f0,"f1"x,Result\n1,1,1\n', False),
+        ("csv", 'f0, "f1",Result\n1,1,1\n', False),
+        ("csv", "\nf0,Result\n1,1\n", False),
+        ("arff", ARFF_HEAD + "% no @data line\n1,1\n", False),
+        ("arff", ARFF_HEAD + "x @data\n1,1\n", False),
+        ("arff", ARFF_HEAD + " \t@DATA x\n1,1\n", True),
+        ("arff", ARFF_HEAD + "@data\n@data\n1,1\n", False),
+        ("arff", "@data\n" + ARFF_HEAD + "1,1\n", False),
+        ("arff", "@data\n1,1\n", False),
+    ],
+    ids=["csv-quoted", "csv-quoted-over-lines", "csv-quote-to-end", "csv-after-quote", "csv-before-quote",
+         "csv-blank-first-line", "arff-no-data-line", "arff-data-mid-line", "arff-data-indented",
+         "arff-data-twice", "arff-data-first", "arff-no-attributes"],
+)
+def test_header_end_matches_oracle(tmp_path, monkeypatch, fmt, text, clean):
+    # the byte decoder starts after the header; wherever that is, the line parser's result stands
+    path = tmp_path / f"table.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    assert _load_noting_bulk(monkeypatch, path) == (outcome(lambda: load_lines(text, fmt)), clean)
