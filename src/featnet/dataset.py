@@ -148,12 +148,24 @@ def partition(table: FeatureTable, sel: Partition) -> FeatureTable:
     mask = table.labels == want
     if not mask.any():
         raise EmptyPartition(f"partition {sel.value!r} selects zero rows")
-    return FeatureTable(
+    return _take_rows(table, mask, sel.value)
+
+
+def _take_rows(table: FeatureTable, selector: np.ndarray, tag: str) -> FeatureTable:
+    """The rows of ``table`` that ``selector`` (a mask or indices) picks, with
+    ``[tag]`` added to the source.  The constructor's checks are skipped:
+    every cell and label was checked when ``table`` was built.  Both arrays
+    are left read-only, as the constructor leaves them."""
+    sub = object.__new__(FeatureTable)
+    sub.__dict__.update(  # the frozen dataclass's __setattr__ refuses every field
         feature_names=table.feature_names,
-        rows=table.rows[mask],
-        labels=table.labels[mask],
-        source_descriptor=f"{table.source_descriptor}[{sel.value}]",
+        rows=table.rows[selector],
+        labels=table.labels[selector],
+        source_descriptor=f"{table.source_descriptor}[{tag}]",
     )
+    sub.rows.flags.writeable = False
+    sub.labels.flags.writeable = False
+    return sub
 
 
 def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:

@@ -55,6 +55,11 @@ class GradientBoostedTrees:
         score, the loss curve and the quantile bin edges all see the counts,
         so the fit matches one on the repeated rows up to float rounding.
         Without it every row counts once.
+
+        A learning rate that diverges is refused with ``ValueError``: one
+        whose margins leave the float range, and one whose final training
+        loss ends above the base score's by more than 1e-9 of it.  The
+        tolerance passes the few-ulp rise of a fit that splits nothing.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -77,33 +82,46 @@ class GradientBoostedTrees:
         # one row of keys per feature
         n_bins = np.array([len(edges) + 1 for edges in self.bin_edges_], dtype=np.int64)
         width = int(n_bins.max(initial=1))
-        keys = (self._bin(X) + np.arange(X.shape[1]) * width).T.copy()
+        keys = (self._bin(X) + np.arange(X.shape[1]) * width).T
+        d, n = keys.shape
         layout = (
-            keys,
+            np.stack([keys, keys + d * width]),  # the root level's keys, then its hessians'
             width,
-            np.arange(width - 1) >= (n_bins - 1)[:, None],  # past a feature's last bin
-            np.empty(keys.shape, dtype=np.int64),  # each level's keys node·(d·B) + j·B + bin
+            np.arange(width) < (n_bins - 1)[:, None],  # before a feature's last bin
+            np.empty((2, d, n), dtype=np.int64),  # each deeper level's stacked keys
+            np.empty((2, d, n)),  # the gradients and hessians, once per feature
         )
-        p0 = float(np.clip((weight * y).sum() / weight.sum(), 1e-6, 1 - 1e-6))
+        negative, total = y == 0.0, weight.sum()
+        p0 = float(np.clip((weight * y).sum() / total, 1e-6, 1 - 1e-6))
         self.base_score_ = float(np.log(p0 / (1.0 - p0)))
-        margin = np.full(len(y), self.base_score_)
+        margin = np.full(n, self.base_score_)
+        prob, gh = np.empty(n), np.empty((2, n))
         self.loss_curve_, nodes, roots, self._depth = [], [], [], 0
         for _ in range(self.params.n_rounds):
-            prob = _sigmoid(margin)
-            self.loss_curve_.append(_log_loss(y, prob, weight))
+            _sigmoid(margin, out=prob)
+            self.loss_curve_.append(_log_loss(prob, negative, weight, total))
+            np.subtract(prob, y, out=gh[0])
+            np.subtract(1.0, prob, out=gh[1])
+            gh[1] *= prob
+            gh *= weight
             roots.append(len(nodes))
-            leaf_values, depth = self._grow_tree(
-                layout, (prob - y) * weight, prob * (1.0 - prob) * weight, nodes
-            )
+            leaf_values, depth = self._grow_tree(layout, gh, nodes)
             self._depth = max(self._depth, depth)
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                margin += self.params.learning_rate * leaf_values
+                leaf_values *= self.params.learning_rate
+                margin += leaf_values
         if not np.isfinite(margin).all():
             raise ValueError(
                 f"learning_rate (--learning-rate) {self.params.learning_rate!r} "
                 "drives the margins past the float range"
             )
-        self.loss_curve_.append(_log_loss(y, _sigmoid(margin), weight))
+        self.loss_curve_.append(_log_loss(_sigmoid(margin, out=prob), negative, weight, total))
+        first, last = self.loss_curve_[0], self.loss_curve_[-1]
+        if last > first * (1.0 + 1e-9):
+            raise ValueError(
+                f"learning_rate (--learning-rate) {self.params.learning_rate!r} leaves the "
+                f"training loss at {last:.4g}, above the base score's {first:.4g}"
+            )
         self._nodes = np.fromiter(nodes, _NODE, len(nodes))
         self._roots = np.array(roots, dtype=np.int32)
         return self
@@ -123,21 +141,32 @@ class GradientBoostedTrees:
 
         Each step moves every (tree, row) pair of a block one level down, so
         the index arrays hold block × rows entries whatever ``n_rounds`` is.
-        The margin adds ``learning_rate * leaf value`` one tree at a time in
-        tree order, so every row gets the same sum as tree-by-tree prediction.
+        The node fields are copied once per call into contiguous arrays
+        (``_nodes`` stores 20-byte records), child and feature indices as
+        ``intp`` so ``take`` uses them without a cast.  The R distinct rows
+        are flattened feature-major, so a pair's bin is one ``take`` at
+        ``feature·R + row``.  The margin adds ``learning_rate * leaf value``
+        one tree at a time in tree order, so every row gets the same sum as
+        tree-by-tree prediction.
         """
         if self.bin_edges_ is None:
             raise ValueError("classifier is not fitted")
         binned, inverse = _distinct_rows(self._bin(np.asarray(X, dtype=np.float64)))
-        feat, thr, left, value = (self._nodes[name] for name in _NODE.names)
-        rows = np.arange(len(binned))
-        margin = np.full(len(binned), self.base_score_)
-        for start in range(0, len(self._roots), _TREE_BLOCK):
-            node = self._roots[start : start + _TREE_BLOCK, None]  # widens to one column per row
+        n_rows = len(binned)
+        flat = binned.T.ravel()
+        offset = self._nodes["feature"].astype(np.intp) * n_rows
+        thr = np.ascontiguousarray(self._nodes["bin"])
+        left = self._nodes["left"].astype(np.intp)
+        value = np.ascontiguousarray(self._nodes["value"])
+        roots = self._roots.astype(np.intp)
+        rows = np.arange(n_rows)
+        margin = np.full(n_rows, self.base_score_)
+        for start in range(0, len(roots), _TREE_BLOCK):
+            node = roots[start : start + _TREE_BLOCK, None]  # widens to one column per row
             for _ in range(self._depth):
-                node = left[node] + (binned[rows, feat[node]] > thr[node])
-            for tree_nodes in node:
-                margin += self.params.learning_rate * value[tree_nodes]
+                node = left.take(node) + (flat.take(offset.take(node) + rows) > thr.take(node))
+            for tree_values in value.take(node):
+                margin += self.params.learning_rate * tree_values
         return _sigmoid(margin)[inverse]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -160,61 +189,88 @@ class GradientBoostedTrees:
         return binned
 
     def _grow_tree(
-        self, layout: tuple, grad: np.ndarray, hess: np.ndarray, nodes: list
+        self, layout: tuple, gh: np.ndarray, nodes: list
     ) -> tuple[np.ndarray, int]:
         """Append one tree to ``nodes``; return each row's leaf value and the depth.
 
-        The tree is grown level by level and stored breadth-first as ``_NODE``
-        rows with child indices into ``nodes``; the depth is the deepest leaf's.
-        Each open node keeps its rows as an ascending index array.  ``layout``
-        is fixed for the fit: the (d, n) keys j·B + bin, the width B, the
-        mask of bins past each feature's last and a (d, n) int64 buffer.  Each
-        level adds node·(d·B) to the keys in that buffer, and one pair of
-        ``bincount`` calls over it fills the gradient and hessian histograms
-        of the whole level.  A feature's keys form one row of the buffer, so
-        each bin adds its rows in index order and every histogram equals a
-        per-node one bit for bit.  Node sums stay numpy's pairwise
-        ``grad[idx].sum()``; histogram totals differ in the last bit.  Ties
+        ``gh`` holds the (2, n) gradients and hessians.  The tree is grown
+        level by level and stored breadth-first as ``_NODE`` rows with child
+        indices into ``nodes``; the depth is the deepest leaf's.  Each open
+        node keeps its rows as an ascending index array.
+
+        ``layout`` is fixed for the fit: the root level's stacked keys, the
+        width B, the mask of each feature's bins that can split, and two
+        (2, d, n) buffers, for a deeper level's stacked keys and for ``gh``
+        repeated once per feature.  With m growing nodes in a level, the
+        first half of its keys is node·(d·B) + j·B + bin for each row and
+        feature j, and the second half adds m·d·B, so one ``bincount`` fills
+        the gradient and then the hessian histograms of the whole level as
+        one contiguous (2, m, d, B) block.  Rows of other nodes count as node
+        2m and land past both.  The root's keys are the same in every tree.
+        A feature's keys form one row of the buffer, so each bin adds its
+        rows in index order and every histogram equals a per-node one bit
+        for bit.  Gains are computed over all B bins, the last one masked,
+        because ufuncs on the strided ``[..., :-1]`` view run 30 % slower.
+
+        Node sums are taken over ``gh.take(idx, axis=1)``: that copy is
+        C-ordered, so each row is one pairwise sum, bitwise that of
+        ``grad[idx].sum()``.  ``gh[:, idx]`` is not C-ordered, numpy sums it
+        in another order, and histogram totals differ in the last bit.  Ties
         go to the first feature, then the first bin; a split needs a gain
         above EPS.
         """
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
-        keys, width, unsplittable, flat = layout
+        root_keys, width, splittable, level_keys, weights = layout
+        keys = root_keys[0]
         d, n = keys.shape
         max_depth = max(self.params.max_depth, 0) if width > 1 else 0
-        weights = (np.tile(grad, d), np.tile(hess, d))
-        leaf_values = np.empty(n)
-        level, size = [(len(nodes), np.arange(n))], len(nodes) + 1
+        np.copyto(weights, gh[:, None, :])
+        owner, leaf_values = np.empty(n, dtype=np.intp), np.empty(n)
+        # each open node: its index in nodes, its rows, and its gradient and hessian sums;
+        # ufunc reductions are called directly, as ndarray.sum and .max add two Python calls
+        level = [(len(nodes), np.arange(n), *np.add.reduce(gh, axis=1).tolist())]
+        size = len(nodes) + 1
         for depth in range(max_depth + 1):  # the level at max_depth does not split
-            level = [(i, idx, float(grad[idx].sum()), float(hess[idx].sum())) for i, idx in level]
             grow = [node for node in level if len(node[1]) >= 2] if depth < max_depth else []
             splits = {}
             if grow:
                 m = len(grow)
-                owner = np.full(n, m)  # rows of other nodes land in a spare node m
-                for k, (_, idx, _, _) in enumerate(grow):
-                    owner[idx] = k
-                np.add(keys, owner * (d * width), out=flat)
+                stacked = root_keys  # one node holds every row
+                if depth:
+                    owner.fill(2 * m * d * width)  # rows of other nodes land past both halves
+                    for k, (_, idx, _, _) in enumerate(grow):
+                        owner[idx] = k * d * width
+                    np.add(keys, owner, out=level_keys[0])
+                    np.add(level_keys[0], m * d * width, out=level_keys[1])
+                    stacked = level_keys
+                used = 2 * m * d * width
                 g_left, h_left = (
-                    np.bincount(flat.ravel(), weights=w, minlength=(m + 1) * d * width)
-                    .reshape(m + 1, d, width)[:m]
-                    .cumsum(axis=2)[:, :, :-1]
-                    for w in weights
+                    np.bincount(stacked.ravel(), weights=weights.ravel(), minlength=used)[:used]
+                    .reshape(2, m, d, width)
+                    .cumsum(axis=3)
                 )
                 g_sum, h_sum = np.array([node[2:] for node in grow]).T[:, :, None, None]
-                gain = (
-                    g_left**2 / (h_left + lam)
-                    + (g_sum - g_left) ** 2 / ((h_sum - h_left) + lam)
-                    - g_sum * g_sum / (h_sum + lam)
-                )
-                gain[~((h_left >= mcw) & ((h_sum - h_left) >= mcw)) | unsplittable] = -np.inf
+                # gain = GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ), in the order of that formula
+                gain = np.square(g_left)
+                right = h_left + lam
+                gain /= right
+                np.subtract(h_sum, h_left, out=right)
+                valid = np.minimum(h_left, right) >= mcw  # False if either side is NaN
+                valid &= splittable
+                right += lam
+                g_right = np.subtract(g_sum, g_left)
+                np.square(g_right, out=g_right)
+                g_right /= right
+                gain += g_right
+                gain -= g_sum * g_sum / (h_sum + lam)
+                np.putmask(gain, ~valid, -np.inf)  # copyto(where=) takes twice as long
                 # a NaN at a feature's first best bin drops that feature
-                feat_gain = gain.max(axis=2)
-                feat_gain[np.isnan(feat_gain)] = -np.inf
-                for k, (node_id, _, _, _) in enumerate(grow):
-                    j = int(feat_gain[k].argmax())
-                    if feat_gain[k, j] > EPS:
-                        splits[node_id] = (j, int(gain[k, j].argmax()))
+                feat_gain = np.maximum.reduce(gain, axis=2)
+                np.putmask(feat_gain, np.isnan(feat_gain), -np.inf)
+                feats, bins = feat_gain.argmax(axis=1).tolist(), gain.argmax(axis=2).tolist()
+                for node, gains, j, node_bins in zip(grow, feat_gain.tolist(), feats, bins):
+                    if gains[j] > EPS:
+                        splits[node[0]] = (j, node_bins[j])
             next_level = []
             for node_id, idx, g_sum, h_sum in level:  # node_id == len(nodes)
                 if node_id not in splits:
@@ -222,10 +278,13 @@ class GradientBoostedTrees:
                     leaf_values[idx] = nodes[-1][3]
                     continue
                 j, b = splits[node_id]
-                mask = keys[j][idx] <= j * width + b
+                mask = keys[j].take(idx) <= j * width + b
                 nodes.append((j, b, size, 0.0))
-                next_level += [(size, idx[mask]), (size + 1, idx[~mask])]
-                size += 2
+                for rows in (idx.compress(mask), idx.compress(~mask)):  # faster than idx[mask]
+                    next_level.append(
+                        (size, rows, *np.add.reduce(gh.take(rows, axis=1), axis=1).tolist())
+                    )
+                    size += 1
             if not next_level:
                 return leaf_values, depth
             level = next_level
@@ -263,15 +322,23 @@ def _quantile(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, hi - diff * (1 - t), lo + diff * t)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) with x clipped to ±500, written into ``out`` if given."""
+    out = np.clip(x, -500.0, 500.0, out=out)
+    np.exp(np.negative(out, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def _log_loss(y: np.ndarray, p: np.ndarray, weight: np.ndarray) -> float:
-    # with 0/1 labels the dropped term of y·log p + (1 - y)·log(1 - p) is an exact ±0.0
+def _log_loss(p: np.ndarray, negative: np.ndarray, weight: np.ndarray, total: float) -> float:
+    """Weighted mean log loss of probabilities ``p``; ``negative`` marks the
+    0 labels and ``total`` is ``weight.sum()``."""
+    # with 0/1 labels the dropped term of y·log p + (1 - y)·log(1 - p) is an exact ±0.0;
+    # np.where is three times as fast as a subtract(where=) in place
     p = np.clip(p, EPS, 1.0 - EPS)
-    terms = np.log(np.where(y == 1.0, p, 1.0 - p))
-    return float(-(weight * terms).sum() / weight.sum())
+    terms = np.log(np.where(negative, 1.0 - p, p))
+    terms *= weight
+    return float(-np.add.reduce(terms) / total)
 
 
 class PowerIterationPCA:

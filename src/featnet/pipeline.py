@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
-from .dataset import FeatureTable, Partition, class_proportions, load_dataset, partition
+from .dataset import FeatureTable, Partition, _take_rows, class_proportions, load_dataset, partition
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
 
@@ -381,12 +381,7 @@ def stability_check(
     run_hubs: dict[str, list[set[str]]] = {name: [] for name in cfg.partitions}
     for _ in range(n_subsamples):
         rows = np.sort(rng.choice(table.n_rows, size=sample_size, replace=False))
-        sub = FeatureTable(
-            feature_names=table.feature_names,
-            rows=table.rows[rows],
-            labels=table.labels[rows],
-            source_descriptor=f"{table.source_descriptor}[subsample]",
-        )
+        sub = _take_rows(table, rows, "subsample")
         for name in cfg.partitions:
             arts = analyze_partition(sub, cfg, name)
             run_hubs[name].append({h["feature"] for h in arts.outcome.hubs})

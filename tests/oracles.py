@@ -292,6 +292,33 @@ def gbt_recursive(X, y, params):
     return trees, loss_curve, predict_proba
 
 
+def gbt_blocked_walk(model, data, block=16):
+    """``GradientBoostedTrees.predict_proba`` as a walk over the fitted node
+    records: bin with ``bin_edges_``, keep the distinct binned rows, then
+    move ``block`` trees at a time one level down per step by fancy indexing
+    the strided fields of ``_nodes`` and the 2-D binned rows, and add each
+    tree's leaf values to the margin in tree order."""
+    data = np.asarray(data, dtype=np.float64)
+    binned = np.empty(data.shape, dtype=np.int32)
+    for j, edges in enumerate(model.bin_edges_):
+        binned[:, j] = np.searchsorted(edges, data[:, j], side="left")
+    if binned.shape[1]:
+        binned, inverse = np.unique(binned, axis=0, return_inverse=True)
+    else:
+        binned, inverse = binned[:1], np.zeros(len(binned), dtype=np.intp)
+    nodes = model._nodes
+    feat, thr, left, value = nodes["feature"], nodes["bin"], nodes["left"], nodes["value"]
+    rows = np.arange(len(binned))
+    margin = np.full(len(binned), model.base_score_)
+    for start in range(0, len(model._roots), block):
+        node = model._roots[start : start + block, None]
+        for _ in range(model._depth):
+            node = left[node] + (binned[rows, feat[node]] > thr[node])
+        for tree_nodes in node:
+            margin += model.params.learning_rate * value[tree_nodes]
+    return (1.0 / (1.0 + np.exp(-np.clip(margin, -500.0, 500.0))))[inverse.reshape(-1)]
+
+
 class DictGraph:
     """The dict-of-dicts weighted graph the package used before edge arrays."""
 

@@ -331,6 +331,11 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
             ["eval", "--features", "feat0,feat1", "--learning-rate", "1e308", "--rounds", "2"],
             "--learning-rate",
         ),
+        # margins of +-1e300 stay finite, but the loss ends above the base score's
+        (
+            ["eval", "--features", "feat0,feat1", "--learning-rate", "1e300", "--rounds", "3"],
+            "--learning-rate",
+        ),
     ],
 )
 def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):

@@ -10,7 +10,7 @@ from featnet import (
     partition,
     save_csv,
 )
-from featnet.dataset import loads_csv
+from featnet.dataset import _take_rows, loads_csv
 from featnet.errors import DomainError, EmptyPartition, ParseError, SchemaError
 
 from .oracles import load_lines
@@ -33,6 +33,36 @@ def test_partition_keeps_features(reference_table):
     legit = partition(reference_table, Partition.LEGITIMATE)
     assert legit.feature_names == reference_table.feature_names
     assert legit.source_descriptor.endswith("[legitimate]")
+
+
+@pytest.mark.parametrize(
+    "select, tag",
+    [
+        (lambda t: t.labels == 1, "legitimate"),
+        (lambda t: t.labels == -1, "phishing"),
+        (lambda t: np.arange(0, t.n_rows, 3), "subsample"),
+    ],
+)
+def test_trusted_slice_equals_validated_slice(reference_table, select, tag):
+    # partition and the stability subsamples skip the cell checks of a validated table
+    if tag == "subsample":
+        sub = _take_rows(reference_table, select(reference_table), tag)
+    else:
+        sub = partition(reference_table, Partition(tag))
+    checked = FeatureTable(
+        reference_table.feature_names,
+        reference_table.rows[select(reference_table)],
+        reference_table.labels[select(reference_table)],
+        f"{reference_table.source_descriptor}[{tag}]",
+    )
+    assert sub.feature_names == checked.feature_names
+    assert sub.source_descriptor == checked.source_descriptor
+    for ours, theirs in ((sub.rows, checked.rows), (sub.labels, checked.labels)):
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+        assert not ours.flags.writeable
+        with pytest.raises(ValueError):
+            ours[0] = 1
 
 
 def test_reference_proportions(reference_table):
@@ -65,6 +95,16 @@ def test_out_of_range_cell_is_domain_error(value):
     assert f"cell value {value} " in str(err.value)
     assert "'b'" in str(err.value)
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE)
+def test_constructor_checks_every_cell(value):
+    # a table built directly is still checked; only row selections skip the checks
+    rows = np.zeros((3, 2), dtype=np.int64)
+    rows[2, 1] = value
+    with pytest.raises(DomainError) as err:
+        FeatureTable(("a", "b"), rows, np.ones(3, dtype=np.int64))
+    assert err.value.row == 3 and "'b'" in str(err.value)
 
 
 @pytest.mark.parametrize("value", (0,) + OUT_OF_RANGE)

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from featnet.dataset import LABEL_LEGITIMATE
 from featnet.errors import DegenerateLabels, RankDeficient
 from featnet.evaluation import _distinct_rows, _quantile, stratified_split
 
-from .oracles import gbt_recursive
+from .oracles import gbt_blocked_walk, gbt_recursive
 
 
 # --- PCA ----------------------------------------------------------------------
@@ -328,6 +330,58 @@ def test_gbt_equals_recursive_oracle_bitwise(problem):
         assert_matches_recursive_oracle(X, y, x_test, params)
 
 
+@settings(max_examples=100, deadline=None)
+@given(gbt_problems(), st.sampled_from([1, 2, 16, 37]), st.lists(st.integers(0, 4), min_size=1))
+# 37 trees: two full blocks of 16 and a partial one; rows 0 and 3 repeat
+@example(_many_rounds_problem(), 37, [0, 3, 0, 3, 3])
+def test_predict_proba_equals_blocked_walk(problem, n_rounds, picks):
+    # no columns, depth -1 to 5, one test row and repeated test rows, with as
+    # many trees as one block, more, and fewer
+    X, y, x_test, params = problem
+    model = GradientBoostedTrees(dataclasses.replace(params, n_rounds=n_rounds))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            model.fit(X, y)
+    except (ZeroDivisionError, ValueError):  # reg_lambda = 0, or a diverging fit
+        return
+    for data in (x_test[picks], X):
+        assert np.array_equal(model.predict_proba(data), gbt_blocked_walk(model, data))
+
+
+def test_predict_memory_does_not_grow_with_rounds():
+    # prediction walks 16 trees at a time: its peak allocation holds index
+    # arrays of 16 x rows entries, not rounds x rows, plus the node fields
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(300, 4))
+    y = (X[:, 0] + rng.normal(scale=0.5, size=300) > 0).astype(np.float64)
+    x_test = rng.normal(size=(3000, 4))
+    peaks = {}
+    for n_rounds in (32, 1000):
+        model = GradientBoostedTrees(GBTParams(n_rounds=n_rounds, max_depth=3)).fit(X, y)
+        tracemalloc.start()
+        try:
+            model.predict_proba(x_test)
+            peaks[n_rounds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] <= 1.5 * peaks[32]
+
+
+def test_refit_on_one_instance_is_identical(reference_table):
+    # fit keeps no buffer across calls: a fit on other rows in between changes nothing
+    x_train, y_train, _ = reference_split(reference_table, "pca", 42)
+    distinct, counts = np.unique(np.column_stack([x_train, y_train]), axis=0, return_counts=True)
+    X, y = distinct[:, :-1], distinct[:, -1]
+    model = GradientBoostedTrees(GBTParams(n_rounds=20))
+    first = model.fit(X, y, counts)
+    nodes, roots, loss_curve = first._nodes, first._roots, first.loss_curve_
+    model.fit(X[::2, :3], y[::2])
+    model.fit(X, y, counts)
+    assert model._nodes.tobytes() == nodes.tobytes()
+    assert np.array_equal(model._roots, roots) and model._roots.dtype == roots.dtype
+    assert model.loss_curve_ == loss_curve
+
+
 def assert_counts_match_repeated_rows(X, y, counts, x_test, params):
     """Counts must act as repeated rows: equal bin edges, and loss curve and
     probabilities within 1e-12 (sums of c copies and c times a value differ
@@ -408,6 +462,31 @@ def test_rejects_learning_rate_whose_margins_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="learning_rate .* 1e\\+308"):
             GradientBoostedTrees(params).fit(X, y)
+
+
+def _noisy_problem():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(200, 3))
+    y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.3, size=200) > 0).astype(np.float64)
+    return X, y
+
+
+@pytest.mark.parametrize("rate", [5.0, 1e300])
+def test_rejects_learning_rate_that_ends_above_the_base_score(rate):
+    # 5 ends near 13 against 0.69 for the base score; 1e300 drives the margins to
+    # +-1e300 without overflowing and predicts one class
+    with pytest.raises(ValueError, match="learning_rate .* above the base score"):
+        GradientBoostedTrees(GBTParams(n_rounds=60, learning_rate=rate)).fit(*_noisy_problem())
+
+
+def test_fit_that_splits_nothing_passes_the_loss_check():
+    # min_child_weight 1e9 blocks every split; with 13 of 33 labels 1 the loss
+    # then ends one ulp above its start, within the tolerance
+    X, y = np.arange(33.0)[:, None], np.r_[np.ones(13), np.zeros(20)]
+    model = GradientBoostedTrees(GBTParams(n_rounds=5, min_child_weight=1e9)).fit(X, y)
+    assert 0.0 < model.loss_curve_[-1] - model.loss_curve_[0] < 1e-15
+    model = GradientBoostedTrees(GBTParams(n_rounds=60, learning_rate=1.5)).fit(*_noisy_problem())
+    assert model.loss_curve_[-1] < model.loss_curve_[0]
 
 
 @given(
