@@ -8,12 +8,12 @@ produce identical partitions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import _write_csv
 from .errors import FeatnetError, UncoveredNode
 from .graph import WeightedGraph, _sum_in_order
 
@@ -170,7 +170,4 @@ def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -
 
 
 def write_communities_csv(partition: CommunityPartition, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "community"])
-        writer.writerows(zip(partition.nodes, partition.assignment.tolist()))
+    _write_csv(path, ["feature", "community"], zip(partition.nodes, partition.assignment.tolist()))

@@ -18,13 +18,12 @@ n(n^2-1)/3, is exact for n up to about 1.9e5.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import FeatureTable
+from .dataset import FeatureTable, _write_csv
 from .errors import TooFewRows
 
 CORRELATION_MODES = ("tie_aware", "literal_formula")
@@ -134,8 +133,5 @@ def to_similarity(dist: CorrelationMatrix) -> CorrelationMatrix:
 def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
     """Export a named square matrix with full-precision (repr) floats."""
     names = matrix.feature_names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([""] + list(names))
-        for name, row in zip(names, matrix.values):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    rows = ([name, *row] for name, row in zip(names, matrix.values.tolist()))
+    _write_csv(path, ["", *names], rows)

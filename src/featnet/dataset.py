@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -134,10 +135,17 @@ def loads_csv(text: str, source: str = "<string>") -> FeatureTable:
 
 def save_csv(table: FeatureTable, path: str | Path) -> None:
     """Write the table as a header + integer-cell CSV (round-trips losslessly)."""
+    rows = np.column_stack([table.rows, table.labels]).tolist()
+    _write_csv(path, [*table.feature_names, "Result"], rows)
+
+
+def _write_csv(path: str | Path, header: list, rows: Iterable) -> None:
+    """Every CSV that featnet writes: UTF-8, LF line ends, a header row, then
+    ``rows``.  ``csv`` writes each float as its ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(table.feature_names) + ["Result"])
-        writer.writerows(np.column_stack([table.rows, table.labels]).tolist())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def partition(table: FeatureTable, sel: Partition) -> FeatureTable:

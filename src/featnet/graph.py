@@ -15,7 +15,6 @@ pair, so repeated runs produce identical trees.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .correlation import CorrelationMatrix
+from .dataset import _write_csv
 from .errors import DegenerateDistribution, UncoveredNode
 
 GAMMA_METHODS = ("loglog_ols", "mle")
@@ -192,11 +192,10 @@ def degree_distribution(tree: SpanningTree) -> list[tuple[int, int, float]]:
 
 
 @dataclass(frozen=True)
-class GammaEstimate:
+class GammaEstimate:  # fields in the order of the manifest's keys
     gamma: float
-    method: str
+    r_squared: float | None  # None for mle
     points_used: tuple[tuple[int, float], ...]
-    r_squared: float | None = None
 
 
 def estimate_gamma(
@@ -226,31 +225,17 @@ def estimate_gamma(
         residual = y - (intercept + slope * x)
         ss_tot = float(np.dot(yc, yc))
         r_squared = 1.0 - float(np.dot(residual, residual)) / ss_tot if ss_tot > 0 else 1.0
-        return GammaEstimate(
-            gamma=-slope,
-            method=method,
-            points_used=tuple(points),
-            r_squared=r_squared,
-        )
+        return GammaEstimate(gamma=-slope, r_squared=r_squared, points_used=tuple(points))
     # mle: k_min = 1, continuous approximation over per-node degrees
     m = sum(count for _, count, _ in dist)
     log_sum = _sum_in_order([count * math.log(k / 0.5) for k, count, _ in dist if count > 0])
-    return GammaEstimate(
-        gamma=1.0 + m / log_sum,
-        method=method,
-        points_used=tuple(points),
-        r_squared=None,
-    )
+    return GammaEstimate(gamma=1.0 + m / log_sum, r_squared=None, points_used=tuple(points))
 
 
 def write_degree_distribution_csv(
     dist: list[tuple[int, int, float]], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "count", "pk"])
-        for k, count, pk in dist:
-            writer.writerow([k, count, repr(pk)])
+    _write_csv(path, ["k", "count", "pk"], dist)
 
 
 def _node_labels(tree: SpanningTree, communities: np.ndarray, hubs: np.ndarray):
@@ -267,16 +252,21 @@ def write_dot(
     """Graphviz DOT export; hub nodes are drawn as boxes.
 
     ``communities`` holds each node's community id in node order and
-    ``hubs`` the hub positions.
+    ``hubs`` the hub positions.  Node names are quoted IDs, each ``"`` in
+    them written as ``\\"``.
     """
     lines = ["graph feature_network {"]
     for n, cid, hub in _node_labels(tree, communities, hubs):
         shape = ", shape=box" if hub else ""
-        lines.append(f'  "{n}" [community={cid}{shape}];')
+        lines.append(f"  {_dot_id(n)} [community={cid}{shape}];")
     for u, v, w in tree.edges:
-        lines.append(f'  "{u}" -- "{v}" [weight="{w:.6f}"];')
+        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [weight="{w:.6f}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _dot_id(name: str) -> str:
+    return '"' + name.replace('"', '\\"') + '"'
 
 
 _ATTR_ESCAPES = str.maketrans(
@@ -326,8 +316,5 @@ def write_graphml(
 
 def write_hubs_csv(hubs: list[dict], path: str | Path) -> None:
     """Write the manifest's hub rows (feature, degree, community)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "degree", "community"])
-        for h in hubs:
-            writer.writerow([h["feature"], h["degree"], h["community"]])
+    rows = ([h["feature"], h["degree"], h["community"]] for h in hubs)
+    _write_csv(path, ["feature", "degree", "community"], rows)

@@ -66,12 +66,12 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.partitions:
-            raise ValueError("at least one partition must be selected")
+            raise ValueError("at least one partition (--partitions) must be selected")
         unknown = [p for p in self.partitions if p not in PARTITION_ORDER]
         if unknown:
-            raise ValueError(f"unknown partitions: {unknown}")
+            raise ValueError(f"unknown partitions (--partitions): {unknown}")
         if self.eval_n_seeds < 1:
-            raise ValueError(f"need at least 1 evaluation seed, got {self.eval_n_seeds}")
+            raise ValueError(f"need at least 1 evaluation seed (--n-seeds), got {self.eval_n_seeds}")
         if self.eval_seed < 0:
             raise ValueError(f"eval_seed (--seed) must be non-negative, got {self.eval_seed}")
         if self.gbt.n_rounds < 1:
@@ -82,14 +82,6 @@ class PipelineConfig:
         repeated = [f for i, f in enumerate(names) if f in names[:i]]
         if repeated:
             raise ValueError(f"eval_features (--features) names {repeated[0]!r} more than once")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["partitions"] = list(self.partitions)
-        d["eval_features"] = (
-            list(self.eval_features) if self.eval_features is not None else None
-        )
-        return d
 
 
 @dataclass
@@ -121,11 +113,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        d = json.loads(text)
-        return cls(**{**d, "partitions": [PartitionOutcome(**p) for p in d["partitions"]]})
 
     def outcome(self, name: str) -> PartitionOutcome:
         for p in self.partitions:
@@ -166,12 +153,7 @@ def analyze_partition(
     gamma: dict = {}
     for method in graph.GAMMA_METHODS:
         try:
-            est = graph.estimate_gamma(dist, method=method)
-            gamma[method] = {
-                "gamma": est.gamma,
-                "r_squared": est.r_squared,
-                "points_used": [[k, pk] for k, pk in est.points_used],
-            }
+            gamma[method] = asdict(graph.estimate_gamma(dist, method=method))
         except DegenerateDistribution as exc:
             gamma[method] = {"error": str(exc)}
 
@@ -244,7 +226,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     manifest = RunManifest(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         partitions=outcomes,
         errors=errors,
     )
@@ -329,6 +311,11 @@ def run_eval(cfg: PipelineConfig) -> EvalComparison:
         features = select_connected_hubs(arts.tree, threshold=cfg.hub_threshold)
         if not features:
             raise ValueError(f"hub_threshold (--hub-threshold) {cfg.hub_threshold} selects no hubs")
+    if not 1 <= cfg.eval_pca_components <= table.n_features:
+        raise ValueError(
+            f"eval_pca_components (--pca-components) must be in [1, {table.n_features}], "
+            f"got {cfg.eval_pca_components}"
+        )
 
     seeds = [cfg.eval_seed + i for i in range(cfg.eval_n_seeds)]
     hub_subset = FeatureSubsetSpec.named(features)
@@ -363,9 +350,9 @@ def stability_check(
     set against the full-data hub set and the mean over subsamples.
     """
     if n_subsamples < 2:
-        raise ValueError(f"need at least 2 subsamples, got {n_subsamples}")
+        raise ValueError(f"need at least 2 subsamples (--n-subsamples), got {n_subsamples}")
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        raise ValueError(f"fraction (--fraction) must be in (0, 1], got {fraction}")
     if seed < 0:
         raise ValueError(f"seed (--seed) must be non-negative, got {seed}")
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)

@@ -325,21 +325,37 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
         (["eval", "--hub-threshold", "9", "--rounds", "1"], "--hub-threshold"),
         (["stability", "--seed", "-1"], "--seed"),
         # about 30 rows per class: every one of them would train, none would test
-        (["eval", "--features", "feat0,feat1", "--train-fraction", "0.9999"], "--train-fraction"),
+        (
+            ["eval", "--features", "feat0,feat1", "--pca-components", "2",
+             "--train-fraction", "0.9999"],
+            "--train-fraction",
+        ),
         # leaf values times 1e308 overflow the margins
         (
-            ["eval", "--features", "feat0,feat1", "--learning-rate", "1e308", "--rounds", "2"],
+            ["eval", "--features", "feat0,feat1", "--pca-components", "2",
+             "--learning-rate", "1e308", "--rounds", "2"],
             "--learning-rate",
         ),
         # margins of +-1e300 stay finite, but the loss ends above the base score's
         (
-            ["eval", "--features", "feat0,feat1", "--learning-rate", "1e300", "--rounds", "3"],
+            ["eval", "--features", "feat0,feat1", "--pca-components", "2",
+             "--learning-rate", "1e300", "--rounds", "3"],
             "--learning-rate",
         ),
+        # the table has 4 features, so the eval rows above that fail later set
+        # --pca-components 2: a PCA component count out of range fails before any fit
+        (["eval", "--features", "feat0,feat1", "--pca-components", "5"], "--pca-components"),
+        (["eval", "--features", "feat0,feat1", "--pca-components", "0"], "--pca-components"),
+        (["eval", "--n-seeds", "0"], "--n-seeds"),
+        (["stability", "--n-subsamples", "1"], "--n-subsamples"),
+        (["stability", "--fraction", "0"], "--fraction"),
+        (["analyze", "--partitions", ","], "--partitions"),
     ],
 )
 def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):
     data = synthetic_csv(tmp_path / "data.csv")
+    if argv[0] == "analyze":
+        argv = [*argv, "--out", str(tmp_path / "out")]
     assert main([argv[0], "--input", str(data), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err

@@ -187,6 +187,27 @@ def test_shallow_last_tree_matches_recursive_oracle():
     assert_matches_recursive_oracle(X, y, X, params)
 
 
+@pytest.mark.parametrize(
+    "params, first_tree",
+    [
+        # with reg_lambda = 0 the bins of feature 0 that the left child leaves
+        # empty gain 0/0, which drops feature 0 there; feature 1 still splits it
+        (
+            GBTParams(n_rounds=1, max_depth=2, reg_lambda=0.0, min_child_weight=0.0),
+            ("split", 0, 0, ("split", 1, 0, ("leaf", -4.0), ("leaf", 4 / 3)), ("leaf", 4 / 3)),
+        ),
+        # no hessian sum is >= NaN, so a NaN min_child_weight admits no split
+        (GBTParams(n_rounds=1, max_depth=2, min_child_weight=np.nan), ("leaf", 0.0)),
+    ],
+)
+def test_nan_split_rules(params, first_tree):
+    X = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [1, 0], [1, 0], [2, 1], [2, 1]], dtype=float)
+    y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert GradientBoostedTrees(params).fit(X, y).trees_ == [first_tree]
+        assert_matches_recursive_oracle(X, y, X, params)
+
+
 HUB_FEATURES = [
     "SSLfinal_State",
     "Shortining_Service",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from featnet import (
     PipelineConfig,
-    RunManifest,
     WeightedGraph,
     maximum_spanning_tree,
     run_eval,
@@ -15,7 +15,7 @@ from featnet import (
     select_connected_hubs,
     stability_check,
 )
-from featnet import pipeline as pipeline_module
+from featnet import evaluation, pipeline as pipeline_module
 from featnet.evaluation import GBTParams
 from featnet.pipeline import export_matrices
 
@@ -89,15 +89,6 @@ def test_two_feature_dataset_degenerate_gamma(tmp_path):
     assert "error" in outcome.gamma["mle"]
 
 
-def test_manifest_round_trip(tmp_path):
-    data = synthetic_csv(tmp_path / "data.csv")
-    cfg = PipelineConfig(input_path=str(data), partitions=("all", "phishing"))
-    manifest = run_pipeline(cfg)
-    restored = RunManifest.from_json(manifest.to_json())
-    assert restored.to_dict() == manifest.to_dict()
-    assert restored.to_json() == manifest.to_json()
-
-
 def test_reruns_are_byte_identical(tmp_path):
     data = synthetic_csv(tmp_path / "data.csv")
     out = tmp_path / "out"
@@ -166,6 +157,23 @@ def test_rerun_removes_stale_partition_outputs(tmp_path):
     manifest = run_pipeline(PipelineConfig(input_path=str(single), out_dir=str(out)))
     assert "phishing" in manifest.errors
     assert not (out / "phishing").exists()
+
+
+def test_dot_ids_escape_double_quotes(tmp_path):
+    # the CSV header cell "a""q" names the feature a"q
+    data = synthetic_csv(tmp_path / "data.csv")
+    header, body = data.read_text().split("\n", 1)
+    data.write_text('"a""q"' + header.removeprefix("feat0") + "\n" + body)
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(input_path=str(data), partitions=("all",), out_dir=str(out)))
+    lines = (out / "all" / "mst.dot").read_text().splitlines()[1:-1]
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT quoted string, with \" inside
+    ids = set()
+    for line in lines:
+        ids.update(s.replace('\\"', '"') for s in re.findall(quoted, line.split(" [")[0]))
+        assert '"' not in re.sub(quoted, "", line)
+    assert ids == {'a"q', "feat1", "feat2", "feat3"}
+    assert sum(line.startswith('  "a\\"q" [community=') for line in lines) == 1
 
 
 def test_hub_csv_consistent_with_community_csv(tmp_path):
@@ -238,6 +246,17 @@ def test_run_eval_on_synthetic(tmp_path):
     )
     payload = json.loads(json.dumps(comparison.to_dict()))
     assert payload["hub"]["reports"][0]["subset"]["features"] == ["feat0", "feat1"]
+
+
+def test_run_eval_checks_pca_components_before_any_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluation, "evaluate", lambda *args, **kwargs: pytest.fail("a fit ran"))
+    cfg = PipelineConfig(
+        input_path=str(synthetic_csv(tmp_path / "data.csv")),
+        eval_features=("feat0", "feat1"),
+        eval_pca_components=5,
+    )
+    with pytest.raises(ValueError, match=r"--pca-components\) must be in \[1, 4\], got 5"):
+        run_eval(cfg)
 
 
 def test_run_eval_identical_subsets_zero_delta(tmp_path):
