@@ -184,6 +184,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Registers ``gc.freeze`` to run at exit, once per process: what is still
+    alive then, mostly what the numpy and featnet imports built, moves to the
+    permanent generation, which the collections of interpreter shutdown skip.
+    """
+    import atexit, gc  # here, so that importing featnet.cli loads nothing new
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = _build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:

@@ -69,19 +69,19 @@ class FeatureTable:
         if labels.shape != (rows.shape[0],):
             raise SchemaError(f"{labels.shape[0]} labels for {rows.shape[0]} rows")
 
-        # on int64 codes these comparisons pick exactly the values outside
-        # FEATURE_VALUES and LABEL_VALUES; np.abs would pass INT64_MIN
-        bad = np.argwhere((rows < -1) | (rows > 1))
-        if bad.size:
-            r, c = bad[0]
+        # one exact pass each: as uint64, x + 1 is at most 2 for exactly the FEATURE_VALUES
+        # (INT64_MIN and INT64_MAX wrap above it) and 0 or 2 for exactly the LABEL_VALUES
+        bad = np.add(rows, 1).view(np.uint64) > 2
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
             raise DomainError(
                 f"cell value {rows[r, c]} not in {set(FEATURE_VALUES)}",
                 row=int(r) + 1,
                 column=names[c],
             )
-        bad_label = np.argwhere((labels != -1) & (labels != 1))
-        if bad_label.size:
-            r = int(bad_label[0][0])
+        bad_label = np.add(labels, 1) & ~2
+        if bad_label.any():
+            r = int(np.flatnonzero(bad_label)[0])
             raise DomainError(
                 f"label value {labels[r]} not in {set(LABEL_VALUES)}", row=r + 1
             )

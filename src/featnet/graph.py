@@ -253,7 +253,10 @@ def write_dot(
 
     ``communities`` holds each node's community id in node order and
     ``hubs`` the hub positions.  Node names are quoted IDs, each ``"`` in
-    them written as ``\\"``.
+    them written as ``\\"``.  A quoted ID cannot end in a backslash, DOT
+    drops one before a line end, and DOT readers disagree on one before
+    ``"``, so a name with such a backslash is an HTML-like ``<...>`` ID with
+    XML escapes instead.
     """
     lines = ["graph feature_network {"]
     for n, cid, hub in _node_labels(tree, communities, hubs):
@@ -266,6 +269,8 @@ def write_dot(
 
 
 def _dot_id(name: str) -> str:
+    if name.endswith("\\") or '\\"' in name or "\\\n" in name:
+        return "<" + name.translate(_ATTR_ESCAPES) + ">"
     return '"' + name.replace('"', '\\"') + '"'
 
 

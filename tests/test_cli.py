@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -62,6 +63,63 @@ def test_only_eval_imports_the_evaluation_module(tmp_path):
         "check GradientBoostedTrees evaluate",
         "check [] 35",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--input", "{data}", "--out", "out"], 0),
+        (["analyze"], 1),
+        (["analyze", "--input", "nope.csv", "--out", "out"], 2),
+    ],
+)
+def test_exit_freezes_heap_and_changes_no_output(tmp_path, monkeypatch, capsys, argv, code):
+    # atexit handlers run last in, first out, so a probe registered before
+    # main runs after featnet's handler, just before shutdown's collections
+    root = Path(__file__).resolve().parent.parent
+    argv = [a.format(data=root / "data" / "phishing_websites.arff") for a in argv]
+    probe = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from featnet.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    (tmp_path / "sub").mkdir()
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path / "sub",
+    )
+    (tmp_path / "in").mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    frozen = gc.get_freeze_count()
+    assert main(argv) == code == result.returncode
+    assert gc.get_freeze_count() == frozen  # main itself freezes nothing
+    printed = capsys.readouterr()
+    assert (result.stdout, result.stderr) == (printed.out, printed.err + "frozen True\n")
+    written = {p: p.read_bytes() for p in Path().rglob("*") if p.is_file()}
+    assert written == {
+        p.relative_to(tmp_path / "sub"): p.read_bytes()
+        for p in (tmp_path / "sub").rglob("*") if p.is_file()
+    }
+    assert bool(written) == (code == 0)
+
+
+def test_repeated_main_calls_register_one_exit_freeze():
+    # a stand-in for gc.freeze counts how often the exit handlers call it
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import gc, sys\n"
+        "gc.freeze = lambda: print('freeze', file=sys.stderr)\n"
+        "from featnet.cli import main\n"
+        "print([main(['analyze']) for _ in range(3)])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[1, 1, 1]\n"
+    assert result.stderr.splitlines().count("freeze") == 1
 
 
 def test_invalid_utf8_is_data_error_naming_its_line(tmp_path, capsys):

@@ -97,14 +97,28 @@ def test_out_of_range_cell_is_domain_error(value):
     assert err.value.row == 2
 
 
-@pytest.mark.parametrize("value", OUT_OF_RANGE)
+INT64_MAX = 9223372036854775807
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE + (INT64_MAX,))
 def test_constructor_checks_every_cell(value):
     # a table built directly is still checked; only row selections skip the checks
     rows = np.zeros((3, 2), dtype=np.int64)
+    rows[1, 0] = rows[2, 0] = 1  # valid codes around the bad cell
     rows[2, 1] = value
     with pytest.raises(DomainError) as err:
         FeatureTable(("a", "b"), rows, np.ones(3, dtype=np.int64))
-    assert err.value.row == 3 and "'b'" in str(err.value)
+    assert err.value.row == 3 and err.value.column == "b"
+    assert str(err.value) == f"row 3, column 'b': cell value {value} not in { {-1, 0, 1} }"
+
+
+@pytest.mark.parametrize("value", (0,) + OUT_OF_RANGE + (INT64_MAX,))
+def test_constructor_checks_every_label(value):
+    labels = np.array([1, -1, value, 1], dtype=np.int64)
+    with pytest.raises(DomainError) as err:
+        FeatureTable(("a",), np.zeros((4, 1), dtype=np.int64), labels)
+    assert err.value.row == 3
+    assert str(err.value) == f"row 3: label value {value} not in { {-1, 1} }"
 
 
 @pytest.mark.parametrize("value", (0,) + OUT_OF_RANGE)

@@ -1,4 +1,5 @@
 import hashlib
+import html
 import json
 import re
 from pathlib import Path
@@ -159,21 +160,51 @@ def test_rerun_removes_stale_partition_outputs(tmp_path):
     assert not (out / "phishing").exists()
 
 
-def test_dot_ids_escape_double_quotes(tmp_path):
-    # the CSV header cell "a""q" names the feature a"q
+# a quoted ID (\" inside) or an HTML-like <...> ID
+DOT_ID = re.compile(r'"((?:[^"\\]|\\.)*)"|<([^<>]*)>', re.S)
+QUOTED_ESCAPES = {'"': '"', "\n": ""}  # every other backslash pair stays as written
+
+
+def dot_ids(line: str) -> list[str]:
+    """The IDs before a DOT statement's attributes, read as Graphviz reads them.
+
+    In a quoted ID only \" and a backslash before a line end are escapes;
+    an HTML-like ID holds XML escapes.
+    """
+    ids = []
+    for m in DOT_ID.finditer(line.split(" [")[0]):
+        if m[2] is not None:
+            ids.append(html.unescape(m[2]))
+        else:
+            ids.append(re.sub(r"\\(.)", lambda e: QUOTED_ESCAPES.get(e[1], e[0]), m[1], flags=re.S))
+    # nothing but IDs and quoted attribute values carries a quote or bracket
+    assert not set('"<>') & set(DOT_ID.sub("", line))
+    return ids
+
+
+def dot_lines_for_header(tmp_path: Path, header_cells: str) -> list[str]:
+    """The statements of the all-websites mst.dot, features named by a CSV header."""
     data = synthetic_csv(tmp_path / "data.csv")
-    header, body = data.read_text().split("\n", 1)
-    data.write_text('"a""q"' + header.removeprefix("feat0") + "\n" + body)
+    body = data.read_text().split("\n", 1)[1]
+    data.write_text(header_cells + ",Result\n" + body)
     out = tmp_path / "out"
     run_pipeline(PipelineConfig(input_path=str(data), partitions=("all",), out_dir=str(out)))
-    lines = (out / "all" / "mst.dot").read_text().splitlines()[1:-1]
-    quoted = r'"((?:[^"\\]|\\.)*)"'  # a DOT quoted string, with \" inside
-    ids = set()
-    for line in lines:
-        ids.update(s.replace('\\"', '"') for s in re.findall(quoted, line.split(" [")[0]))
-        assert '"' not in re.sub(quoted, "", line)
-    assert ids == {'a"q', "feat1", "feat2", "feat3"}
+    return (out / "all" / "mst.dot").read_text().splitlines()[1:-1]
+
+
+def test_dot_ids_escape_double_quotes(tmp_path):
+    # the CSV header cell "a""q" names the feature a"q
+    lines = dot_lines_for_header(tmp_path, '"a""q",feat1,feat2,feat3')
+    assert {i for line in lines for i in dot_ids(line)} == {'a"q', "feat1", "feat2", "feat3"}
     assert sum(line.startswith('  "a\\"q" [community=') for line in lines) == 1
+
+
+def test_dot_ids_of_names_with_backslashes(tmp_path):
+    # features a\, a\\ and q"\; a quoted ID would end each in \"
+    lines = dot_lines_for_header(tmp_path, 'a\\,a\\\\,"q""\\",feat3')
+    assert {i for line in lines for i in dot_ids(line)} == {"a\\", "a\\\\", 'q"\\', "feat3"}
+    for spelled in ("<a\\>", "<a\\\\>", '<q"\\>', '"feat3"'):
+        assert sum(line.startswith(f"  {spelled} [community=") for line in lines) == 1
 
 
 def test_hub_csv_consistent_with_community_csv(tmp_path):
