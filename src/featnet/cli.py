@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .correlation import CORRELATION_MODES
@@ -36,8 +35,8 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 # each option's dest names the setting it fills; an option not given keeps its default
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
-_GBT_FIELDS = {f.name for f in fields(GBTParams)}
+_CONFIG_FIELDS = set(PipelineConfig._fields)
+_GBT_FIELDS = set(GBTParams._fields)
 
 
 class _Parser(argparse.ArgumentParser):

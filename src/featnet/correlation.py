@@ -18,8 +18,8 @@ n(n^2-1)/3, is exact for n up to about 1.9e5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .errors import TooFewRows
 CORRELATION_MODES = ("tie_aware", "literal_formula")
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """A feature-by-feature matrix: Spearman correlations, or the distances
     or similarities derived from them.  ``mode`` and ``warnings`` describe
     the correlation it derives from."""
@@ -39,7 +38,7 @@ class CorrelationMatrix:
     values: np.ndarray
     mode: str = "tie_aware"
     # (feature, reason) for columns whose correlations were forced to 0
-    warnings: tuple[tuple[str, str], ...] = field(default=())
+    warnings: tuple[tuple[str, str], ...] = ()
 
 
 def rank_transform(values) -> np.ndarray:
@@ -120,14 +119,14 @@ def to_distance(corr: CorrelationMatrix) -> CorrelationMatrix:
     """d = sqrt(2 * (1 - rho)) elementwise; float-error radicands clamp to 0."""
     values = np.sqrt(np.maximum(2.0 * (1.0 - corr.values), 0.0))
     values.flags.writeable = False
-    return replace(corr, values=values)
+    return corr._replace(values=values)
 
 
 def to_similarity(dist: CorrelationMatrix) -> CorrelationMatrix:
     """s = exp(-d) elementwise, mapping d in [0, 2] onto [exp(-2), 1]."""
     values = np.exp(-dist.values)
     values.flags.writeable = False
-    return replace(dist, values=values)
+    return dist._replace(values=values)
 
 
 def write_matrix_csv(matrix: CorrelationMatrix, path: str | Path) -> None:

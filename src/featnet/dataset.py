@@ -9,12 +9,12 @@ subset are supported.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,25 @@ class Partition(Enum):
     PHISHING = "phishing"
 
 
-@dataclass(frozen=True)
-class FeatureTable:
+class _Checked:
+    """Base of a NamedTuple subclass whose ``__new__`` checks its fields:
+    ``_replace`` goes back through ``__new__``, so a replaced field is checked
+    too, while ``_make`` builds an instance unchecked."""
+
+    __slots__ = ()
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class _FeatureTableFields(NamedTuple):
+    feature_names: tuple[str, ...]
+    rows: np.ndarray
+    labels: np.ndarray
+    source_descriptor: str = "<memory>"
+
+
+class FeatureTable(_Checked, _FeatureTableFields):
     """Immutable labeled table of categorical feature codes.
 
     rows is an (n, k) integer matrix with every cell in {-1, 0, 1}; labels is
@@ -45,18 +62,14 @@ class FeatureTable:
     across threads without copying.
     """
 
-    feature_names: tuple[str, ...]
-    rows: np.ndarray
-    labels: np.ndarray
-    source_descriptor: str = field(default="<memory>")
+    __slots__ = ()
+    __signature__ = inspect.signature(_FeatureTableFields)
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
+    def __new__(cls, *args, **kwargs):
+        names, rows, labels, source = super().__new__(cls, *args, **kwargs)
+        rows = np.asarray(rows, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
 
-        names = self.feature_names
         if not names:
             raise SchemaError("table has no feature columns")
         if any(not str(n).strip() for n in names):
@@ -87,6 +100,7 @@ class FeatureTable:
             )
         rows.flags.writeable = False
         labels.flags.writeable = False
+        return cls._make((names, rows, labels, source))
 
     @property
     def n_rows(self) -> int:
@@ -164,16 +178,10 @@ def _take_rows(table: FeatureTable, selector: np.ndarray, tag: str) -> FeatureTa
     ``[tag]`` added to the source.  The constructor's checks are skipped:
     every cell and label was checked when ``table`` was built.  Both arrays
     are left read-only, as the constructor leaves them."""
-    sub = object.__new__(FeatureTable)
-    sub.__dict__.update(  # the frozen dataclass's __setattr__ refuses every field
-        feature_names=table.feature_names,
-        rows=table.rows[selector],
-        labels=table.labels[selector],
-        source_descriptor=f"{table.source_descriptor}[{tag}]",
-    )
-    sub.rows.flags.writeable = False
-    sub.labels.flags.writeable = False
-    return sub
+    rows, labels = table.rows[selector], table.labels[selector]
+    rows.flags.writeable = labels.flags.writeable = False
+    source = f"{table.source_descriptor}[{tag}]"
+    return FeatureTable._make((table.feature_names, rows, labels, source))
 
 
 def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:

@@ -10,8 +10,7 @@ search works on integer bins.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -397,8 +396,7 @@ class PowerIterationPCA:
         return (np.asarray(X, dtype=np.float64) - self.mean_) @ self.components_
 
 
-@dataclass(frozen=True)
-class FeatureSubsetSpec:
+class FeatureSubsetSpec(NamedTuple):
     """Which inputs the classifier sees: named columns or PCA components."""
 
     mode: str  # "named_features" | "pca_components"
@@ -419,8 +417,7 @@ class FeatureSubsetSpec:
         return {"mode": self.mode, "k": self.k}
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     accuracy: float
     subset: FeatureSubsetSpec
     train_fraction: float
@@ -428,14 +425,14 @@ class EvalReport:
     classifier_params: GBTParams
     n_train: int
     n_test: int
-    per_class_accuracy: dict = field(default_factory=dict)
-    confusion_matrix: dict = field(default_factory=dict)
+    per_class_accuracy: dict
+    confusion_matrix: dict
 
     def to_dict(self) -> dict:
         return {
             "subset": self.subset.to_dict(),
             "split": {"train_fraction": self.train_fraction, "seed": self.seed},
-            "params": asdict(self.classifier_params),
+            "params": self.classifier_params._asdict(),
             "accuracy": self.accuracy,
             "n_train": self.n_train,
             "n_test": self.n_test,

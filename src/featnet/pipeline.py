@@ -9,17 +9,19 @@ and order-fixed, so rerunning a config reproduces the outputs byte for byte.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
-from .dataset import FeatureTable, Partition, _take_rows, class_proportions, load_dataset, partition
+from .dataset import (
+    FeatureTable, Partition, _Checked, _take_rows, class_proportions, load_dataset, partition,
+)
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
 
@@ -34,8 +36,7 @@ PARTITION_ORDER = tuple(p.value for p in Partition)
 ANALYZE_FILES = ("hubs.csv", "communities.csv", "mst.dot", "mst.graphml", "degree_dist.csv")
 
 
-@dataclass(frozen=True)
-class GBTParams:
+class _GBTParamsFields(NamedTuple):
     n_rounds: int = 200
     learning_rate: float = 0.1
     max_depth: int = 4
@@ -43,13 +44,19 @@ class GBTParams:
     min_child_weight: float = 1.0
     n_bins: int = 256
 
-    def __post_init__(self):
+
+class GBTParams(_Checked, _GBTParamsFields):
+    __slots__ = ()
+    __signature__ = inspect.signature(_GBTParamsFields)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.learning_rate < np.inf:  # False for NaN
             raise ValueError(f"learning rate must be positive and finite: {self.learning_rate!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
     input_path: str
     fmt: str = "auto"
     partitions: tuple[str, ...] = PARTITION_ORDER
@@ -62,9 +69,15 @@ class PipelineConfig:
     train_fraction: float = 0.8
     eval_seed: int = 42
     eval_n_seeds: int = 5
-    gbt: GBTParams = field(default_factory=GBTParams)
+    gbt: GBTParams = GBTParams()
 
-    def __post_init__(self):
+
+class PipelineConfig(_Checked, _PipelineConfigFields):
+    __slots__ = ()
+    __signature__ = inspect.signature(_PipelineConfigFields)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.partitions:
             raise ValueError("at least one partition (--partitions) must be selected")
         unknown = [p for p in self.partitions if p not in PARTITION_ORDER]
@@ -82,11 +95,11 @@ class PipelineConfig:
         repeated = [f for i, f in enumerate(names) if f in names[:i]]
         if repeated:
             raise ValueError(f"eval_features (--features) names {repeated[0]!r} more than once")
+        return self
 
 
-@dataclass
-class PartitionOutcome:
-    """Everything computed for one data partition, in JSON-ready form."""
+class PartitionOutcome(NamedTuple):
+    """Everything computed for one data partition; its ``_asdict()`` is JSON-ready."""
 
     partition: str
     n_rows: int
@@ -99,8 +112,7 @@ class PartitionOutcome:
     degree_distribution: list
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     schema_version: int
     tool_version: str
     config: dict
@@ -109,7 +121,7 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         """Shallow, as every field already holds JSON-ready values."""
-        return {**vars(self), "partitions": [dict(vars(p)) for p in self.partitions]}
+        return {**self._asdict(), "partitions": [p._asdict() for p in self.partitions]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -121,8 +133,7 @@ class RunManifest:
         raise KeyError(f"no outcome for partition {name!r}")
 
 
-@dataclass(frozen=True)
-class PartitionArtifacts:
+class PartitionArtifacts(NamedTuple):
     outcome: PartitionOutcome
     tree: SpanningTree
     communities: CommunityPartition
@@ -153,7 +164,7 @@ def analyze_partition(
     gamma: dict = {}
     for method in graph.GAMMA_METHODS:
         try:
-            gamma[method] = asdict(graph.estimate_gamma(dist, method=method))
+            gamma[method] = graph.estimate_gamma(dist, method=method)._asdict()
         except DegenerateDistribution as exc:
             gamma[method] = {"error": str(exc)}
 
@@ -226,7 +237,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     manifest = RunManifest(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
-        config=asdict(cfg),
+        config={**cfg._asdict(), "gbt": cfg.gbt._asdict()},  # json would write gbt as a list
         partitions=outcomes,
         errors=errors,
     )
@@ -270,8 +281,7 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     return sorted(names[i] for i in np.flatnonzero(top)) + sorted(names[i] for i in attached)
 
 
-@dataclass(frozen=True)
-class EvalComparison:
+class EvalComparison(NamedTuple):
     hub_reports: tuple[EvalReport, ...]
     pca_reports: tuple[EvalReport, ...]
     hub_mean: float

@@ -1,4 +1,13 @@
+import json
+
+import numpy as np
+import pytest
+
 import featnet
+from featnet.dataset import _take_rows
+from featnet.pipeline import analyze_partition
+
+from .conftest import REFERENCE_ARFF
 
 PUBLIC_API = [
     "CommunityPartition",
@@ -48,3 +57,89 @@ def test_public_api_is_pinned():
 def test_public_names_resolve():
     for name in featnet.__all__:
         assert getattr(featnet, name) is not None, name
+
+
+# every record is a NamedTuple: iterable, equal to a plain tuple, never changed in place
+RECORDS = (
+    "FeatureTable", "CorrelationMatrix", "SpanningTree", "GammaEstimate", "CommunityPartition",
+    "GBTParams", "PipelineConfig", "PartitionOutcome", "RunManifest", "PartitionArtifacts",
+    "EvalComparison", "FeatureSubsetSpec", "EvalReport",
+)
+
+
+@pytest.fixture(scope="module")
+def records(reference_table):
+    cfg = featnet.PipelineConfig(
+        input_path=str(REFERENCE_ARFF), partitions=("all",), eval_n_seeds=1,
+        gbt=featnet.GBTParams(n_rounds=2),
+    )
+    arts = analyze_partition(reference_table, cfg, "all")
+    comparison = featnet.run_eval(cfg)
+    report = comparison.hub_reports[0]
+    found = (
+        reference_table, featnet.spearman_matrix(reference_table), arts.tree,
+        featnet.estimate_gamma(featnet.degree_distribution(arts.tree)), arts.communities,
+        cfg.gbt, cfg, arts.outcome, featnet.run_pipeline(cfg), arts,
+        comparison, report.subset, report,
+    )
+    return dict(zip(RECORDS, found))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_a_read_only_tuple(records, name):
+    record = records[name]
+    assert type(record).__name__ == name
+    assert record == tuple(record) and len(record) == len(record._fields)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("FeatureTable", lambda t: {"feature_names": t.feature_names[:-1]}),
+        ("FeatureTable", lambda t: {"labels": np.where(t.labels == 1, 2, -1)}),
+        ("GBTParams", lambda p: {"learning_rate": float("nan")}),
+        ("PipelineConfig", lambda c: {"eval_n_seeds": 0}),
+        ("PipelineConfig", lambda c: {"partitions": ("all", "none")}),
+    ],
+)
+def test_replace_runs_the_constructor_checks(records, name, bad):
+    record = records[name]
+    assert type(record._replace()) is type(record) and record._replace() == record
+    changes = bad(record)
+    with pytest.raises(Exception) as built:
+        type(record)(**{**record._asdict(), **changes})
+    with pytest.raises(type(built.value)) as replaced:
+        record._replace(**changes)
+    assert str(replaced.value) == str(built.value)
+
+
+def test_json_forms_write_nested_records_as_objects(records):
+    # json writes a tuple as a list, so every nested record goes through _asdict
+    cfg = records["PipelineConfig"]
+    manifest = json.loads(records["RunManifest"].to_json())
+    assert manifest["config"]["gbt"] == cfg.gbt._asdict()
+    assert manifest["config"]["partitions"] == ["all"]
+    outcome = manifest["partitions"][0]
+    assert list(outcome) == list(records["PartitionOutcome"]._fields)
+    assert list(outcome["gamma"]["loglog_ols"]) == list(records["GammaEstimate"]._fields)
+    assert records["EvalReport"].to_dict()["params"] == cfg.gbt._asdict()
+
+
+def test_take_rows_builds_read_only_subsets_unchecked(records, monkeypatch):
+    table = records["FeatureTable"]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a trusted subset ran the constructor's checks")
+
+    monkeypatch.setattr(featnet.FeatureTable, "__new__", refuse)
+    sub = _take_rows(table, table.labels == 1, "legitimate")
+    assert type(sub) is featnet.FeatureTable
+    assert sub.source_descriptor == f"{table.source_descriptor}[legitimate]"
+    assert sub.n_rows == 6157 and sub.feature_names == table.feature_names
+    assert not sub.rows.flags.writeable and not sub.labels.flags.writeable
+    with pytest.raises(AttributeError):
+        sub.rows = table.rows

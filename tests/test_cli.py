@@ -18,9 +18,13 @@ from .test_pipeline import synthetic_csv
 
 
 def test_import_leaves_out_network_modules():
-    # xml.sax.saxutils would pull these in; they cost a share of start-up
-    heavy = ("urllib.request", "http.client", "ssl", "email")
-    code = f"import sys, featnet.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # xml.sax.saxutils would pull these in; they cost a share of start-up, and
+    # dataclasses would compile each record's methods at every start
+    heavy = ("urllib.request", "http.client", "ssl", "email", "dataclasses")
+    code = (
+        "import sys, featnet.cli, featnet.evaluation; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(

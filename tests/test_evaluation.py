@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -359,7 +358,7 @@ def test_predict_proba_equals_blocked_walk(problem, n_rounds, picks):
     # no columns, depth -1 to 5, one test row and repeated test rows, with as
     # many trees as one block, more, and fewer
     X, y, x_test, params = problem
-    model = GradientBoostedTrees(dataclasses.replace(params, n_rounds=n_rounds))
+    model = GradientBoostedTrees(params._replace(n_rounds=n_rounds))
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             model.fit(X, y)
