@@ -59,11 +59,14 @@ class GradientBoostedTrees:
         whose margins leave the float range, and one whose final training
         loss ends above the base score's by more than 1e-9 of it.  The
         tolerance passes the few-ulp rise of a fit that splits nothing.
+        NaN and infinite features are refused with ``ValueError``, here and
+        in ``predict_proba``: they would make NaN or infinite bin edges.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
+        _check_finite(X)
         counts = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight)
         if counts.shape != (len(y),) or counts.dtype.kind not in "iuf" or not (
             np.isfinite(counts) & (counts >= 1) & (counts == np.floor(counts))
@@ -78,17 +81,17 @@ class GradientBoostedTrees:
 
         self._fit_bins(X, counts)
         # the histogram layout is fixed for the fit: feature j's bins are keys j*width + bin,
-        # one row of keys per feature
+        # one contiguous row of keys per feature
         n_bins = np.array([len(edges) + 1 for edges in self.bin_edges_], dtype=np.int64)
         width = int(n_bins.max(initial=1))
-        keys = (self._bin(X) + np.arange(X.shape[1]) * width).T
+        keys = np.ascontiguousarray((self._bin(X) + np.arange(X.shape[1]) * width).T)
         d, n = keys.shape
         layout = (
-            np.stack([keys, keys + d * width]),  # the root level's keys, then its hessians'
+            keys,  # the root level's keys
             width,
             np.arange(width) < (n_bins - 1)[:, None],  # before a feature's last bin
-            np.empty((2, d, n), dtype=np.int64),  # each deeper level's stacked keys
-            np.empty((2, d, n)),  # the gradients and hessians, once per feature
+            np.empty((d, n), dtype=np.int64),  # each deeper level's keys
+            np.empty((d, n), dtype=np.complex128),  # gradient + 1j·hessian, once per feature
         )
         negative, total = y == 0.0, weight.sum()
         p0 = float(np.clip((weight * y).sum() / total, 1e-6, 1 - 1e-6))
@@ -150,7 +153,8 @@ class GradientBoostedTrees:
         """
         if self.bin_edges_ is None:
             raise ValueError("classifier is not fitted")
-        binned, inverse = _distinct_rows(self._bin(np.asarray(X, dtype=np.float64)))
+        X = _check_finite(np.asarray(X, dtype=np.float64))
+        binned, inverse = _distinct_rows(self._bin(X))
         n_rows = len(binned)
         flat = binned.T.ravel()
         offset = self._nodes["feature"].astype(np.intp) * n_rows
@@ -197,19 +201,19 @@ class GradientBoostedTrees:
         indices into ``nodes``; the depth is the deepest leaf's.  Each open
         node keeps its rows as an ascending index array.
 
-        ``layout`` is fixed for the fit: the root level's stacked keys, the
-        width B, the mask of each feature's bins that can split, and two
-        (2, d, n) buffers, for a deeper level's stacked keys and for ``gh``
-        repeated once per feature.  With m growing nodes in a level, the
-        first half of its keys is node·(d·B) + j·B + bin for each row and
-        feature j, and the second half adds m·d·B, so one ``bincount`` fills
-        the gradient and then the hessian histograms of the whole level as
-        one contiguous (2, m, d, B) block.  Rows of other nodes count as node
-        2m and land past both.  The root's keys are the same in every tree.
-        A feature's keys form one row of the buffer, so each bin adds its
-        rows in index order and every histogram equals a per-node one bit
-        for bit.  Gains are computed over all B bins, the last one masked,
-        because ufuncs on the strided ``[..., :-1]`` view run 30 % slower.
+        ``layout`` is fixed for the fit: the root level's (d, n) keys, which
+        every tree shares, the width B, the mask of each feature's bins that
+        can split, and two (d, n) buffers, for a deeper level's keys and for
+        gradient + 1j·hessian repeated once per feature.  With m growing nodes
+        in a level, a row's key for feature j is node·(d·B) + j·B + bin, so
+        one complex ``np.add.at`` fills the gradient (real) and hessian
+        (imaginary) histograms of the whole level as one (m, d, B) block.
+        Rows of other nodes count as node m, a block that is never read.
+        ``ufunc.at`` adds in index order, a feature's keys are one row of the
+        buffer, and a complex add or ``cumsum`` is two float ones, so every
+        histogram equals a per-node float one bit for bit.  Gains are
+        computed over all B bins, the last one masked, because ufuncs on the
+        strided ``[..., :-1]`` view run 30 % slower.
 
         Node sums are taken over ``gh.take(idx, axis=1)``: that copy is
         C-ordered, so each row is one pairwise sum, bitwise that of
@@ -219,11 +223,11 @@ class GradientBoostedTrees:
         above EPS.
         """
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
-        root_keys, width, splittable, level_keys, weights = layout
-        keys = root_keys[0]
+        keys, width, splittable, level_keys, weights = layout
         d, n = keys.shape
         max_depth = max(self.params.max_depth, 0) if width > 1 else 0
-        np.copyto(weights, gh[:, None, :])
+        np.copyto(weights.real, gh[0])
+        np.copyto(weights.imag, gh[1])
         owner, leaf_values = np.empty(n, dtype=np.intp), np.empty(n)
         # each open node: its index in nodes, its rows, and its gradient and hessian sums;
         # ufunc reductions are called directly, as ndarray.sum and .max add two Python calls
@@ -233,21 +237,17 @@ class GradientBoostedTrees:
             grow = [node for node in level if len(node[1]) >= 2] if depth < max_depth else []
             splits = {}
             if grow:
-                m = len(grow)
-                stacked = root_keys  # one node holds every row
+                m, block = len(grow), d * width
+                node_keys = keys  # one node holds every row
                 if depth:
-                    owner.fill(2 * m * d * width)  # rows of other nodes land past both halves
+                    owner.fill(m * block)  # rows of other nodes land in the block past the level
                     for k, (_, idx, _, _) in enumerate(grow):
-                        owner[idx] = k * d * width
-                    np.add(keys, owner, out=level_keys[0])
-                    np.add(level_keys[0], m * d * width, out=level_keys[1])
-                    stacked = level_keys
-                used = 2 * m * d * width
-                g_left, h_left = (
-                    np.bincount(stacked.ravel(), weights=weights.ravel(), minlength=used)[:used]
-                    .reshape(2, m, d, width)
-                    .cumsum(axis=3)
-                )
+                        owner[idx] = k * block
+                    node_keys = np.add(keys, owner, out=level_keys)
+                hist = np.zeros((m + 1) * block, dtype=np.complex128)
+                np.add.at(hist, node_keys.ravel(), weights.ravel())
+                left = hist[: m * block].reshape(m, d, width).cumsum(axis=2)
+                g_left, h_left = left.real.copy(), left.imag.copy()
                 g_sum, h_sum = np.array([node[2:] for node in grow]).T[:, :, None, None]
                 # gain = GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ), in the order of that formula
                 gain = np.square(g_left)
@@ -287,6 +287,15 @@ class GradientBoostedTrees:
             if not next_level:
                 return leaf_values, depth
             level = next_level
+
+
+def _check_finite(X: np.ndarray) -> np.ndarray:
+    """``X``, or ``ValueError`` naming its first NaN or infinite cell in row order."""
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        row, col = bad[0].tolist()
+        raise ValueError(f"features must be finite: row {row}, column {col} holds {X[row, col]}")
+    return X
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -207,6 +207,18 @@ def test_nan_split_rules(params, first_tree):
         assert_matches_recursive_oracle(X, y, X, params)
 
 
+def test_copied_feature_ties_with_its_original_in_every_node():
+    # a copy has the same histograms as its original only if each bin adds its
+    # rows in the same order; the exact tie then goes to the original
+    rng = np.random.default_rng(3)
+    x = rng.integers(-1, 2, size=300).astype(np.float64)
+    y = (x + rng.normal(size=300) > 0).astype(np.float64)
+    model = GradientBoostedTrees(GBTParams(n_rounds=20, max_depth=3))
+    nodes = model.fit(np.column_stack([x, x]), y, rng.integers(1, 4, size=300))._nodes
+    splits = nodes["left"] != np.arange(len(nodes))
+    assert splits.any() and (nodes["feature"][splits] == 0).all()
+
+
 HUB_FEATURES = [
     "SSLfinal_State",
     "Shortining_Service",
@@ -463,6 +475,24 @@ def test_rejects_invalid_counts(counts):
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     with pytest.raises(ValueError):
         GradientBoostedTrees(GBTParams(n_rounds=1)).fit(X, np.array([0.0, 1.0, 0.0, 1.0]), counts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_features(bad):
+    # a NaN cell made a NaN bin edge, an infinite one an infinite edge
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, bad], [3.0, bad]])
+    with pytest.raises(ValueError, match=f"row 2, column 1 holds {bad}$"):
+        GradientBoostedTrees(GBTParams(n_rounds=1)).fit(X, np.array([0.0, 1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_proba_rejects_non_finite_features(bad):
+    # NaN went to the last bin
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+    model = GradientBoostedTrees(GBTParams(n_rounds=1)).fit(X, np.array([0.0, 1.0, 0.0, 1.0]))
+    X[3, 0] = X[1, 1] = bad
+    with pytest.raises(ValueError, match=f"row 1, column 1 holds {bad}$"):
+        model.predict_proba(X)
 
 
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0, 0.0])
