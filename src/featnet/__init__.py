@@ -17,7 +17,6 @@ from .dataset import (
     class_proportions,
     load_dataset,
     partition,
-    save_csv,
 )
 from .graph import (
     GammaEstimate,
@@ -82,7 +81,6 @@ __all__ = [
     "rank_transform",
     "run_eval",
     "run_pipeline",
-    "save_csv",
     "select_connected_hubs",
     "spearman_matrix",
     "stability_check",

@@ -31,12 +31,11 @@ CORRELATION_MODES = ("tie_aware", "literal_formula")
 
 class CorrelationMatrix(NamedTuple):
     """A feature-by-feature matrix: Spearman correlations, or the distances
-    or similarities derived from them.  ``mode`` and ``warnings`` describe
-    the correlation it derives from."""
+    or similarities derived from them.  ``warnings`` describes the
+    correlation it derives from."""
 
     feature_names: tuple[str, ...]
     values: np.ndarray
-    mode: str = "tie_aware"
     # (feature, reason) for columns whose correlations were forced to 0
     warnings: tuple[tuple[str, str], ...] = ()
 
@@ -110,7 +109,6 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
     return CorrelationMatrix(
         feature_names=table.feature_names,
         values=values,
-        mode=mode,
         warnings=warnings,
     )
 

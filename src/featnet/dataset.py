@@ -50,7 +50,6 @@ class _FeatureTableFields(NamedTuple):
     feature_names: tuple[str, ...]
     rows: np.ndarray
     labels: np.ndarray
-    source_descriptor: str = "<memory>"
 
 
 class FeatureTable(_Checked, _FeatureTableFields):
@@ -66,7 +65,7 @@ class FeatureTable(_Checked, _FeatureTableFields):
     __signature__ = inspect.signature(_FeatureTableFields)
 
     def __new__(cls, *args, **kwargs):
-        names, rows, labels, source = super().__new__(cls, *args, **kwargs)
+        names, rows, labels = super().__new__(cls, *args, **kwargs)
         rows = np.asarray(rows, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
 
@@ -100,7 +99,7 @@ class FeatureTable(_Checked, _FeatureTableFields):
             )
         rows.flags.writeable = False
         labels.flags.writeable = False
-        return cls._make((names, rows, labels, source))
+        return cls._make((names, rows, labels))
 
     @property
     def n_rows(self) -> int:
@@ -139,18 +138,8 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> FeatureTable:
     names, cells = parsers[fmt](_text(data[:end]))  # a line error here is the file's first
     matrix = None if cells or len(names) < 2 else _bulk_matrix(data, end, len(names))
     if matrix is None:
-        return _line_table(fmt, *parsers[fmt](_text(data)), source=str(path))
-    return _build_table(names, matrix, str(path))
-
-
-def loads_csv(text: str, source: str = "<string>") -> FeatureTable:
-    return _line_table("csv", *_parse_csv(text), source=source)
-
-
-def save_csv(table: FeatureTable, path: str | Path) -> None:
-    """Write the table as a header + integer-cell CSV (round-trips losslessly)."""
-    rows = np.column_stack([table.rows, table.labels]).tolist()
-    _write_csv(path, [*table.feature_names, "Result"], rows)
+        return _line_table(fmt, *parsers[fmt](_text(data)))
+    return _build_table(names, matrix)
 
 
 def _write_csv(path: str | Path, header: list, rows: Iterable) -> None:
@@ -170,18 +159,17 @@ def partition(table: FeatureTable, sel: Partition) -> FeatureTable:
     mask = table.labels == want
     if not mask.any():
         raise EmptyPartition(f"partition {sel.value!r} selects zero rows")
-    return _take_rows(table, mask, sel.value)
+    return _take_rows(table, mask)
 
 
-def _take_rows(table: FeatureTable, selector: np.ndarray, tag: str) -> FeatureTable:
-    """The rows of ``table`` that ``selector`` (a mask or indices) picks, with
-    ``[tag]`` added to the source.  The constructor's checks are skipped:
-    every cell and label was checked when ``table`` was built.  Both arrays
-    are left read-only, as the constructor leaves them."""
+def _take_rows(table: FeatureTable, selector: np.ndarray) -> FeatureTable:
+    """The rows of ``table`` that ``selector`` (a mask or indices) picks.  The
+    constructor's checks are skipped: every cell and label was checked when
+    ``table`` was built.  Both arrays are left read-only, as the constructor
+    leaves them."""
     rows, labels = table.rows[selector], table.labels[selector]
     rows.flags.writeable = labels.flags.writeable = False
-    source = f"{table.source_descriptor}[{tag}]"
-    return FeatureTable._make((table.feature_names, rows, labels, source))
+    return FeatureTable._make((table.feature_names, rows, labels))
 
 
 def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:
@@ -193,8 +181,8 @@ def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:
     return {int(v): (int(c), int(c) / total) for v, c in zip(values, counts)}
 
 
-def _build_table(names: list[str], matrix: np.ndarray, source: str) -> FeatureTable:
-    return FeatureTable(tuple(names[:-1]), matrix[:, :-1], matrix[:, -1], source)
+def _build_table(names: list[str], matrix: np.ndarray) -> FeatureTable:
+    return FeatureTable(tuple(names[:-1]), matrix[:, :-1], matrix[:, -1])
 
 
 def _text(data: bytes) -> str:
@@ -208,9 +196,10 @@ def _text(data: bytes) -> str:
 def _bulk_matrix(data: bytes, end: int, n_cols: int) -> np.ndarray | None:
     """The (n, n_cols) int64 matrix of the body data[end:] if it is clean, else None.
 
-    Clean: rows of n_cols comma-separated ASCII ``[+-]?[0-9]+`` tokens of at most
-    18 digits (so none overflows int64), each ended by an LF; blank lines only at
-    the end.  Each token is read by Horner's rule, value * 10 + digit.
+    Clean: rows of n_cols comma-separated cells, each one ASCII digit with an
+    optional sign, each row ended by an LF; blank lines only at the end.  Every
+    valid cell is -1, 0 or 1, so any other body, zero-padded or multi-digit
+    cells among them, is left to the line parser.
     """
     stop = len(data)
     while stop > end and data[stop - 1] == 10:  # trailing blank lines
@@ -221,27 +210,20 @@ def _bulk_matrix(data: bytes, end: int, n_cols: int) -> np.ndarray | None:
     is_digit = digit <= 9
     is_sep = (b == 44) | (b == 10)
     is_sign = (b == 43) | (b == 45)
-    first = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # a token's first digit is b[first + 1]
+    at = np.flatnonzero(is_digit[1:])  # b[at + 1] is a digit, b[at] the byte before it
     n_seps, n_signs = np.count_nonzero(is_sep), np.count_nonzero(is_sign)
-    # every byte is a separator, a sign or a digit, every sign opens its token,
-    # every token holds one digit run, and every row n_cols tokens
-    if not (n_seps + n_signs + np.count_nonzero(is_digit) == len(b)
+    # every byte is a separator, a sign or a digit, every sign opens its cell, every
+    # digit closes it, every cell holds a digit and every row n_cols cells
+    if not (n_seps + n_signs + len(at) == len(b)
             and np.count_nonzero(is_sign[1:] & is_sep[:-1]) == n_signs
-            and len(first) == n_seps - 1
-            and (np.diff(np.searchsorted(first, np.flatnonzero(b == 10))) == n_cols).all()):
+            and np.count_nonzero(is_digit[:-1] & is_sep[1:]) == len(at) == n_seps - 1
+            and (np.diff(np.searchsorted(at, np.flatnonzero(b == 10))) == n_cols).all()):
         return None
-    sign = 1 - 2 * (b[first] == 45).view(np.int8)  # the byte before a first digit
-    value = (digit[1:][first].view(np.int8) * sign).astype(np.int64)
-    token = np.flatnonzero(is_digit[2:][first])  # the tokens with a second digit
-    at, n_digits = first[token] + 2, 2
-    while token.size and n_digits <= 18:
-        value[token] = value[token] * 10 + sign[token] * digit[at]
-        more = is_digit[at + 1]
-        token, at, n_digits = token[more], at[more] + 1, n_digits + 1
-    return None if token.size else value.reshape(-1, n_cols)  # None: a token of 19+ digits
+    sign = 1 - 2 * (b[at] == 45).view(np.int8)
+    return (digit[1:][at].view(np.int8) * sign).astype(np.int64).reshape(-1, n_cols)
 
 
-def _line_table(fmt: str, names: list[str], cells: list, source: str) -> FeatureTable:
+def _line_table(fmt: str, names: list[str], cells: list) -> FeatureTable:
     if not names:
         what = "header row" if fmt == "csv" else "@attribute declarations"
         raise ParseError(f"no {what} found", line=1)
@@ -252,7 +234,7 @@ def _line_table(fmt: str, names: list[str], cells: list, source: str) -> Feature
     for line_no, values in cells:
         if len(values) != len(names):
             raise ParseError(f"expected {len(names)} values, got {len(values)}", line=line_no)
-    return _build_table(names, np.array([values for _, values in cells], dtype=np.int64), source)
+    return _build_table(names, np.array([values for _, values in cells], dtype=np.int64))
 
 
 def _to_int(token: str, line_no: int) -> int:

@@ -355,17 +355,15 @@ class PowerIterationPCA:
     The covariance matrix of the mean-centered data is decomposed with
     ``np.linalg.eigh``; the top ``n_components`` eigenvectors, in descending
     eigenvalue order, are the components.  Each component is sign-normalized
-    so its largest-magnitude entry is positive.  ``seed`` is kept for
-    callers and has no effect: the decomposition is deterministic.
+    so its largest-magnitude entry is positive.  The decomposition is
+    deterministic.
     """
 
-    def __init__(self, n_components: int, seed: int = 0):
+    def __init__(self, n_components: int):
         self.n_components = n_components
-        self.seed = seed
         self.mean_: np.ndarray | None = None
         self.components_: np.ndarray | None = None  # (d, k) orthonormal columns
         self.explained_variance_: np.ndarray | None = None
-        self.explained_variance_ratio_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "PowerIterationPCA":
         X = np.asarray(X, dtype=np.float64)
@@ -379,7 +377,6 @@ class PowerIterationPCA:
         self.mean_ = X.mean(axis=0)
         centered = X - self.mean_
         cov = centered.T @ centered / (n - 1)
-        total_var = float(np.trace(cov))
 
         eigenvalues, eigenvectors = np.linalg.eigh(cov)
         values = eigenvalues[::-1][: self.n_components]
@@ -394,9 +391,6 @@ class PowerIterationPCA:
         top = np.abs(vectors).argmax(axis=0)
         self.components_ = vectors * np.sign(vectors[top, np.arange(self.n_components)])
         self.explained_variance_ = values
-        self.explained_variance_ratio_ = (
-            values / total_var if total_var > 0 else np.zeros(self.n_components)
-        )
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

@@ -91,10 +91,11 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
             raise ValueError(f"n_rounds (--rounds) must be at least 1, got {self.gbt.n_rounds}")
         if self.gbt.max_depth < 0:
             raise ValueError(f"max_depth (--max-depth) must be >= 0, got {self.gbt.max_depth}")
-        names = self.eval_features or ()
-        repeated = [f for i, f in enumerate(names) if f in names[:i]]
-        if repeated:
-            raise ValueError(f"eval_features (--features) names {repeated[0]!r} more than once")
+        for field, flag in (("partitions", "--partitions"), ("eval_features", "--features")):
+            names = getattr(self, field) or ()
+            repeated = [f for i, f in enumerate(names) if f in names[:i]]
+            if repeated:
+                raise ValueError(f"{field} ({flag}) names {repeated[0]!r} more than once")
         return self
 
 
@@ -378,7 +379,7 @@ def stability_check(
     run_hubs: dict[str, list[set[str]]] = {name: [] for name in cfg.partitions}
     for _ in range(n_subsamples):
         rows = np.sort(rng.choice(table.n_rows, size=sample_size, replace=False))
-        sub = _take_rows(table, rows, "subsample")
+        sub = _take_rows(table, rows)
         for name in cfg.partitions:
             arts = analyze_partition(sub, cfg, name)
             run_hubs[name].append({h["feature"] for h in arts.outcome.hubs})

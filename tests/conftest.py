@@ -28,5 +28,4 @@ def toy_table() -> FeatureTable:
             ]
         ),
         labels=np.array([-1, 1, -1, 1]),
-        source_descriptor="toy",
     )

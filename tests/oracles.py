@@ -536,7 +536,7 @@ def local_moves_split(n, src, dst, weight, min_gain=1e-9):
                 improved = True
     return comm
 
-def load_lines(text, fmt, source="<string>"):
+def load_lines(text, fmt):
     """The line-by-line CSV / ARFF loader: int() on every cell, one list per row."""
     from featnet.dataset import FeatureTable
     from featnet.errors import ParseError, SchemaError
@@ -615,5 +615,4 @@ def load_lines(text, fmt, source="<string>"):
         feature_names=tuple(names[:-1]),
         rows=np.array(rows, dtype=np.int64).reshape(len(rows), n_cols - 1),
         labels=np.array(labels, dtype=np.int64),
-        source_descriptor=source,
     )

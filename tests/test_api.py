@@ -39,7 +39,6 @@ PUBLIC_API = [
     "rank_transform",
     "run_eval",
     "run_pipeline",
-    "save_csv",
     "select_connected_hubs",
     "spearman_matrix",
     "stability_check",
@@ -51,7 +50,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     # a change to the public API must show up as a change to this list
     assert featnet.__all__ == PUBLIC_API
-    assert len(PUBLIC_API) == 35
+    assert len(PUBLIC_API) == 34
 
 
 def test_public_names_resolve():
@@ -59,12 +58,37 @@ def test_public_names_resolve():
         assert getattr(featnet, name) is not None, name
 
 
-# every record is a NamedTuple: iterable, equal to a plain tuple, never changed in place
-RECORDS = (
-    "FeatureTable", "CorrelationMatrix", "SpanningTree", "GammaEstimate", "CommunityPartition",
-    "GBTParams", "PipelineConfig", "PartitionOutcome", "RunManifest", "PartitionArtifacts",
-    "EvalComparison", "FeatureSubsetSpec", "EvalReport",
-)
+# every record is a NamedTuple: iterable, equal to a plain tuple, never changed in place;
+# a change to a record's fields must show up as a change to its entry here
+RECORDS = {
+    "FeatureTable": ("feature_names", "rows", "labels"),
+    "CorrelationMatrix": ("feature_names", "values", "warnings"),
+    "SpanningTree": ("nodes", "src", "dst", "weight", "provably_unique"),
+    "GammaEstimate": ("gamma", "r_squared", "points_used"),
+    "CommunityPartition": ("nodes", "assignment", "modularity", "levels"),
+    "GBTParams": (
+        "n_rounds", "learning_rate", "max_depth", "reg_lambda", "min_child_weight", "n_bins",
+    ),
+    "PipelineConfig": (
+        "input_path", "fmt", "partitions", "correlation_mode", "hub_threshold", "out_dir",
+        "eval_features", "eval_pca_components", "train_fraction", "eval_seed", "eval_n_seeds",
+        "gbt",
+    ),
+    "PartitionOutcome": (
+        "partition", "n_rows", "class_counts", "warnings", "tree", "hubs", "communities",
+        "gamma", "degree_distribution",
+    ),
+    "RunManifest": ("schema_version", "tool_version", "config", "partitions", "errors"),
+    "PartitionArtifacts": ("outcome", "tree", "communities", "hubs"),
+    "EvalComparison": (
+        "hub_reports", "pca_reports", "hub_mean", "pca_mean", "hub_std", "pca_std", "delta",
+    ),
+    "FeatureSubsetSpec": ("mode", "names", "k"),
+    "EvalReport": (
+        "accuracy", "subset", "train_fraction", "seed", "classifier_params", "n_train",
+        "n_test", "per_class_accuracy", "confusion_matrix",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +109,12 @@ def records(reference_table):
     return dict(zip(RECORDS, found))
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_record_fields_are_pinned(records, name):
+    assert type(records[name])._fields == RECORDS[name]
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
 def test_record_is_a_read_only_tuple(records, name):
     record = records[name]
     assert type(record).__name__ == name
@@ -136,9 +165,8 @@ def test_take_rows_builds_read_only_subsets_unchecked(records, monkeypatch):
         raise AssertionError("a trusted subset ran the constructor's checks")
 
     monkeypatch.setattr(featnet.FeatureTable, "__new__", refuse)
-    sub = _take_rows(table, table.labels == 1, "legitimate")
+    sub = _take_rows(table, table.labels == 1)
     assert type(sub) is featnet.FeatureTable
-    assert sub.source_descriptor == f"{table.source_descriptor}[legitimate]"
     assert sub.n_rows == 6157 and sub.feature_names == table.feature_names
     assert not sub.rows.flags.writeable and not sub.labels.flags.writeable
     with pytest.raises(AttributeError):

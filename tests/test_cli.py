@@ -65,7 +65,7 @@ def test_only_eval_imports_the_evaluation_module(tmp_path):
     assert checks == [
         "check [False, False, False, False]",
         "check GradientBoostedTrees evaluate",
-        "check [] 35",
+        "check [] 34",
     ]
 
 
@@ -430,6 +430,16 @@ def test_eval_rejects_repeated_feature(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: eval_features (--features) names 'feat1' more than once\n"
     )
+
+
+@pytest.mark.parametrize("command", ["analyze", "stability", "export"])
+def test_repeated_partition_is_refused_before_any_output(tmp_path, capsys, command):
+    data = synthetic_csv(tmp_path / "data.csv")
+    out = tmp_path / "out"
+    code = main([command, "--input", str(data), "--partitions", "all,all", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: partitions (--partitions) names 'all' more than once\n")
+    assert not out.exists()
 
 
 _SMALL_INT = st.integers(min_value=-2, max_value=6)

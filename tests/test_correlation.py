@@ -223,11 +223,9 @@ def test_degenerate_column_warns_and_stays():
     for values in (m.values, d.values, s.values):
         assert not np.isnan(values).any()
     assert d.values[0, 1] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    # the transforms keep the correlation's names, mode and warnings
+    # the transforms keep the correlation's names and warnings
     for derived in (d, s):
-        assert (derived.feature_names, derived.mode, derived.warnings) == (
-            m.feature_names, m.mode, m.warnings
-        )
+        assert (derived.feature_names, derived.warnings) == (m.feature_names, m.warnings)
 
 
 def test_too_few_rows():

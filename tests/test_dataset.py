@@ -8,9 +8,9 @@ from featnet import (
     class_proportions,
     load_dataset,
     partition,
-    save_csv,
 )
-from featnet.dataset import _take_rows, loads_csv
+from featnet import dataset
+from featnet.dataset import _take_rows
 from featnet.errors import DomainError, EmptyPartition, ParseError, SchemaError
 
 from .oracles import load_lines
@@ -32,7 +32,6 @@ def test_reference_partitions(reference_table):
 def test_partition_keeps_features(reference_table):
     legit = partition(reference_table, Partition.LEGITIMATE)
     assert legit.feature_names == reference_table.feature_names
-    assert legit.source_descriptor.endswith("[legitimate]")
 
 
 @pytest.mark.parametrize(
@@ -46,17 +45,15 @@ def test_partition_keeps_features(reference_table):
 def test_trusted_slice_equals_validated_slice(reference_table, select, tag):
     # partition and the stability subsamples skip the cell checks of a validated table
     if tag == "subsample":
-        sub = _take_rows(reference_table, select(reference_table), tag)
+        sub = _take_rows(reference_table, select(reference_table))
     else:
         sub = partition(reference_table, Partition(tag))
     checked = FeatureTable(
         reference_table.feature_names,
         reference_table.rows[select(reference_table)],
         reference_table.labels[select(reference_table)],
-        f"{reference_table.source_descriptor}[{tag}]",
     )
     assert sub.feature_names == checked.feature_names
-    assert sub.source_descriptor == checked.source_descriptor
     for ours, theirs in ((sub.rows, checked.rows), (sub.labels, checked.labels)):
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
         assert np.array_equal(ours, theirs)
@@ -73,8 +70,14 @@ def test_reference_proportions(reference_table):
     assert abs(sum(f for _, f in props.values()) - 1.0) < 1e-12
 
 
-def test_single_row_csv():
-    table = loads_csv("a,b,Result\n1,-1,1\n")
+def load_csv_text(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    return load_dataset(path)
+
+
+def test_single_row_csv(tmp_path):
+    table = load_csv_text(tmp_path, "a,b,Result\n1,-1,1\n")
     assert table.n_rows == 1
     assert table.feature_names == ("a", "b")
     assert class_proportions(table) == {1: (1, 1.0)}
@@ -89,9 +92,9 @@ OUT_OF_RANGE = (-2, 2, -9223372036854775808)
 
 
 @pytest.mark.parametrize("value", OUT_OF_RANGE)
-def test_out_of_range_cell_is_domain_error(value):
+def test_out_of_range_cell_is_domain_error(tmp_path, value):
     with pytest.raises(DomainError) as err:
-        loads_csv(f"a,b,Result\n1,0,1\n1,{value},1\n")
+        load_csv_text(tmp_path, f"a,b,Result\n1,0,1\n1,{value},1\n")
     assert f"cell value {value} " in str(err.value)
     assert "'b'" in str(err.value)
     assert err.value.row == 2
@@ -122,37 +125,37 @@ def test_constructor_checks_every_label(value):
 
 
 @pytest.mark.parametrize("value", (0,) + OUT_OF_RANGE)
-def test_out_of_range_label_is_domain_error(value):
+def test_out_of_range_label_is_domain_error(tmp_path, value):
     with pytest.raises(DomainError) as err:
-        loads_csv(f"a,b,Result\n1,1,1\n1,1,{value}\n")
+        load_csv_text(tmp_path, f"a,b,Result\n1,1,1\n1,1,{value}\n")
     assert f"label value {value} " in str(err.value)
     assert err.value.row == 2
 
 
-def test_non_integer_cell_is_parse_error():
+def test_non_integer_cell_is_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
-        loads_csv("a,b,Result\n1,x,1\n")
+        load_csv_text(tmp_path, "a,b,Result\n1,x,1\n")
     assert err.value.line == 2
 
 
-def test_ragged_row_is_parse_error():
+def test_ragged_row_is_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
-        loads_csv("a,b,Result\n1,1,1\n1,1\n")
+        load_csv_text(tmp_path, "a,b,Result\n1,1,1\n1,1\n")
     assert err.value.line == 3
 
 
-def test_duplicate_feature_names():
+def test_duplicate_feature_names(tmp_path):
     with pytest.raises(SchemaError):
-        loads_csv("a,a,Result\n1,1,1\n")
+        load_csv_text(tmp_path, "a,a,Result\n1,1,1\n")
 
 
-def test_empty_feature_name():
+def test_empty_feature_name(tmp_path):
     with pytest.raises(SchemaError):
-        loads_csv("a,,Result\n1,1,1\n")
+        load_csv_text(tmp_path, "a,,Result\n1,1,1\n")
 
 
-def test_empty_partition_raises():
-    table = loads_csv("a,Result\n1,1\n-1,1\n")
+def test_empty_partition_raises(tmp_path):
+    table = load_csv_text(tmp_path, "a,Result\n1,1\n-1,1\n")
     with pytest.raises(EmptyPartition):
         partition(table, Partition.PHISHING)
 
@@ -244,7 +247,8 @@ def test_csv_round_trip(tmp_path_factory, data):
         labels=np.array(labels),
     )
     path = tmp_path_factory.mktemp("roundtrip") / "table.csv"
-    save_csv(table, path)
+    np.savetxt(path, np.column_stack([table.rows, table.labels]), fmt="%d", delimiter=",",
+               header=",".join([*table.feature_names, "Result"]), comments="")
     loaded = load_dataset(path, fmt="csv")
     assert loaded.feature_names == table.feature_names
     assert np.array_equal(loaded.rows, table.rows)
@@ -327,8 +331,6 @@ def test_loader_matches_line_parser_oracle(tmp_path_factory, doc):
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), fmt))
     assert outcome(lambda: load_dataset(path)) == expected
-    if fmt == "csv":  # loads_csv sees the line ends as they are
-        assert outcome(lambda: loads_csv(text)) == outcome(lambda: load_lines(text, "csv"))
 
 
 @pytest.mark.parametrize("cell", ODD_CELLS + QUOTED_CELLS)
@@ -346,9 +348,12 @@ def test_odd_cell_among_clean_rows_matches_oracle(tmp_path, fmt, cell):
 @pytest.mark.parametrize(
     "body", ["1,1,1\r1,1,1\n", "1,1,1\r\n-1,0,1\r\n", "1,1,1\r\r\n", "1,1,1\n\n\n", "1,1,1\n\r"]
 )
-def test_csv_line_ends_match_oracle(body):
-    text = "a,b,Result\n" + body
-    assert outcome(lambda: loads_csv(text)) == outcome(lambda: load_lines(text, "csv"))
+def test_csv_line_ends_match_oracle(tmp_path, body):
+    # load_dataset reads CR and CRLF as LF, as text-mode reading does
+    path = tmp_path / "table.csv"
+    path.write_bytes(("a,b,Result\n" + body).encode("utf-8"))
+    expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), "csv"))
+    assert outcome(lambda: load_dataset(path)) == expected
 
 
 @pytest.mark.parametrize(
@@ -386,11 +391,11 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path, fmt):
 
 @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
 @pytest.mark.parametrize("ragged", [False, True])
-def test_cell_beyond_int64_is_parse_error(cell, ragged):
-    # the bulk path would saturate such a cell; the line parser must see it
+def test_cell_beyond_int64_is_parse_error(tmp_path, cell, ragged):
+    # the byte decoder reads only one-digit cells; the line parser must name this one
     tail = "1,1\n" if ragged else ""
     with pytest.raises(ParseError) as err:
-        loads_csv(f"a,b,Result\n1,1,1\n1,{cell},1\n{tail}")
+        load_csv_text(tmp_path, f"a,b,Result\n1,1,1\n1,{cell},1\n{tail}")
     assert err.value.line == 3
     assert cell in str(err.value)
 
@@ -428,20 +433,22 @@ BODY_MUTATIONS = [
     ("code-minus-0", lambda rows: _with_cell(rows, 200, 5, b"-0"), True),
     ("code-lone-minus", lambda rows: _with_cell(rows, 200, 5, b"-"), False),
     ("code-space-1", lambda rows: _with_cell(rows, 200, 5, b" 1"), False),
+    # the row still holds 31 digits: a decoder that counts digits, not cells, reads "1,1"
+    ("two-digits-then-empty", lambda rows: _with_cell(_with_cell(rows, 200, 5, b"11"), 200, 6, b""), False),
     ("label-minus-2", lambda rows: _with_cell(rows, 200, 30, b"-2"), True),
     *[
-        (f"digits-{n}", lambda rows, n=n: _with_cell(rows, 200, 5, b"-"[: n % 2] + DIGITS[:n]), n <= 18)
+        (f"digits-{n}", lambda rows, n=n: _with_cell(rows, 200, 5, b"-"[: n % 2] + DIGITS[:n]), n == 1)
         for n in range(1, 20)
     ],
     *[
-        (f"zero-padded-{n}", lambda rows, n=n: _with_cell(rows, 200, 5, b"-" + b"0" * (n - 1) + b"1"), n <= 18)
+        (f"zero-padded-{n}", lambda rows, n=n: _with_cell(rows, 200, 5, b"-" + b"0" * (n - 1) + b"1"), False)
         for n in (2, 18, 19)
     ],
     # one token of every length from 1 to 18 digits in one body: +-1 padded with zeros
     ("mixed-lengths", lambda rows: [
         b",".join([b"-+"[r % 2: r % 2 + 1] + b"0" * (r % 18) + b"1"] + row.split(b",")[1:])
         for r, row in enumerate(rows)
-    ], True),
+    ], False),
     ("crlf-line-ends", lambda rows: [row + b"\r" for row in rows], True),
     ("lone-cr", lambda rows: rows[:200] + [rows[200].replace(b",", b"\r", 1)] + rows[201:], False),
     ("nul", lambda rows: _with_cell(rows, 200, 5, b"\x00"), False),
@@ -451,25 +458,24 @@ BODY_MUTATIONS = [
 ]
 
 
-def _load_noting_bulk(monkeypatch, path):
+def _load_noting_bulk(path):
     """load_dataset's outcome, and whether the byte decoder returned the matrix."""
-    from featnet import dataset
-
     decoded = []
     bulk_matrix = dataset._bulk_matrix
-    monkeypatch.setattr(dataset, "_bulk_matrix", lambda *a: decoded.append(bulk_matrix(*a)) or decoded[-1])
-    result = outcome(lambda: load_dataset(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_bulk_matrix", lambda *a: decoded.append(bulk_matrix(*a)) or decoded[-1])
+        result = outcome(lambda: load_dataset(path))
     return result, any(m is not None for m in decoded)
 
 
 @pytest.mark.parametrize("mutate, clean", [m[1:] for m in BODY_MUTATIONS], ids=[m[0] for m in BODY_MUTATIONS])
-def test_mutated_shipped_body_matches_line_parser(tmp_path, monkeypatch, mutate, clean):
+def test_mutated_shipped_body_matches_line_parser(tmp_path, mutate, clean):
     # a clean body is decoded from its bytes; any other goes to the line parser
     header, rows = _shipped_prefix()
     path = tmp_path / "table.arff"
     path.write_bytes(header + b"\n".join(mutate(rows)) + b"\n")
     expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), "arff"))
-    assert _load_noting_bulk(monkeypatch, path) == (expected, clean)
+    assert _load_noting_bulk(path) == (expected, clean)
 
 
 def test_invalid_utf8_in_shipped_body_is_parse_error_naming_its_line(tmp_path):
@@ -507,8 +513,39 @@ ARFF_HEAD = "@attribute a {-1,0,1}\n@attribute Result {-1,1}\n"
          "csv-blank-first-line", "arff-no-data-line", "arff-data-mid-line", "arff-data-indented",
          "arff-data-twice", "arff-data-first", "arff-no-attributes"],
 )
-def test_header_end_matches_oracle(tmp_path, monkeypatch, fmt, text, clean):
+def test_header_end_matches_oracle(tmp_path, fmt, text, clean):
     # the byte decoder starts after the header; wherever that is, the line parser's result stands
     path = tmp_path / f"table.{fmt}"
     path.write_text(text, encoding="utf-8")
-    assert _load_noting_bulk(monkeypatch, path) == (outcome(lambda: load_lines(text, fmt)), clean)
+    assert _load_noting_bulk(path) == (outcome(lambda: load_lines(text, fmt)), clean)
+
+
+@st.composite
+def clean_texts(draw):
+    """A CSV or ARFF file whose body the byte decoder must read: 1 to 40 feature
+    columns plus the label, every cell one digit with an optional sign."""
+    fmt = draw(st.sampled_from(("csv", "arff")))
+    n_cols = draw(st.integers(min_value=1, max_value=40)) + 1
+    names = [f"f{j}" for j in range(n_cols - 1)] + ["Result"]
+    if fmt == "csv":
+        lines = [",".join(names)]
+    else:
+        lines = ["@relation demo"] + [f"@attribute {n} {{-1,0,1}}" for n in names] + ["@data"]
+    codes = st.sampled_from(("1", "+1", "-1", "0", "+0", "-0"))
+    labels = st.sampled_from(("1", "+1", "-1"))
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        lines.append(",".join(draw(st.lists(codes, min_size=n_cols - 1, max_size=n_cols - 1)) + [draw(labels)]))
+    lines += [""] * draw(st.integers(min_value=0, max_value=2))  # trailing blank lines
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return fmt, "".join(line + eol for line in lines)
+
+
+@settings(max_examples=200)
+@given(clean_texts())
+def test_every_clean_body_takes_the_byte_decoder(tmp_path_factory, doc):
+    # an outcome test alone cannot see a decoder that sends valid files to the line parser
+    fmt, text = doc
+    path = tmp_path_factory.mktemp("clean") / f"table.{fmt}"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), fmt))
+    assert _load_noting_bulk(path) == (expected, True)

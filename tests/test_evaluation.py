@@ -28,8 +28,9 @@ def test_rank_one_data():
     # points on a line: one nonzero eigenvalue, projection keeps all geometry
     t = np.linspace(-3, 3, 40)
     X = np.column_stack([t, 2.0 * t + 1.0])
-    pca = PowerIterationPCA(n_components=1, seed=0).fit(X)
-    assert pca.explained_variance_ratio_[0] == pytest.approx(1.0, abs=1e-9)
+    pca = PowerIterationPCA(n_components=1).fit(X)
+    # the one component carries all of the variance
+    assert pca.explained_variance_[0] == pytest.approx(np.var(X, axis=0, ddof=1).sum(), rel=1e-9)
     projected = pca.transform(X)
     reconstructed = projected @ pca.components_.T + pca.mean_
     assert np.allclose(reconstructed, X, atol=1e-8)
@@ -39,7 +40,7 @@ def test_rank_deficient_raises():
     t = np.linspace(-3, 3, 40)
     X = np.column_stack([t, 2.0 * t + 1.0])
     with pytest.raises(RankDeficient):
-        PowerIterationPCA(n_components=2, seed=0).fit(X)
+        PowerIterationPCA(n_components=2).fit(X)
 
 
 def test_matches_eigh_oracle(reference_table):
@@ -50,7 +51,7 @@ def test_matches_eigh_oracle(reference_table):
     train, _ = stratified_split(reference_table.labels, 0.8, 1084)
     reference = reference_table.rows[train].astype(np.float64)
     for X, k in ((random, 3), (reference, 5)):
-        pca = PowerIterationPCA(n_components=k, seed=1).fit(X)
+        pca = PowerIterationPCA(n_components=k).fit(X)
 
         centered = X - X.mean(axis=0)
         cov = centered.T @ centered / (len(X) - 1)
@@ -65,16 +66,12 @@ def test_matches_eigh_oracle(reference_table):
             ) <= 1e-12
         residual = cov @ pca.components_ - pca.components_ * pca.explained_variance_
         assert np.abs(residual).max() <= 1e-12
-        expected_top2 = eigenvalues[order][:2].sum() / eigenvalues.sum()
-        assert pca.explained_variance_ratio_[:2].sum() == pytest.approx(
-            expected_top2, abs=1e-9
-        )
 
 
 def test_components_orthonormal():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(50, 6))
-    pca = PowerIterationPCA(n_components=4, seed=3).fit(X)
+    pca = PowerIterationPCA(n_components=4).fit(X)
     gram = pca.components_.T @ pca.components_
     assert np.allclose(gram, np.eye(4), atol=1e-9)
 
@@ -82,7 +79,7 @@ def test_components_orthonormal():
 def test_sign_convention():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 4))
-    pca = PowerIterationPCA(n_components=4, seed=5).fit(X)
+    pca = PowerIterationPCA(n_components=4).fit(X)
     for i in range(4):
         component = pca.components_[:, i]
         assert component[np.argmax(np.abs(component))] > 0
@@ -91,16 +88,16 @@ def test_sign_convention():
 def test_pca_deterministic():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 5))
-    a = PowerIterationPCA(n_components=3, seed=9).fit(X)
-    b = PowerIterationPCA(n_components=3, seed=9).fit(X)
+    a = PowerIterationPCA(n_components=3).fit(X)
+    b = PowerIterationPCA(n_components=3).fit(X)
     assert np.array_equal(a.components_, b.components_)
 
 
 def test_project_pca_on_table(reference_table):
     raw = reference_table.rows.astype(float)
-    pca = PowerIterationPCA(n_components=5, seed=0).fit(raw)
+    pca = PowerIterationPCA(n_components=5).fit(raw)
     assert pca.transform(raw).shape == (11055, 5)
-    assert pca.explained_variance_ratio_.sum() <= 1.0 + 1e-12
+    assert pca.explained_variance_.sum() <= np.var(raw, axis=0, ddof=1).sum() * (1.0 + 1e-12)
 
 
 # --- gradient boosted trees ------------------------------------------------
