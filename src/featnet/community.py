@@ -13,13 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _write_csv
+from .dataset import _plain_annotations, _write_csv
 from .errors import FeatnetError, UncoveredNode
 from .graph import WeightedGraph, _sum_in_order
 
 DEFAULT_MIN_GAIN = 1e-9
 
 
+@_plain_annotations
 class CommunityPartition(NamedTuple):
     nodes: tuple[str, ...]
     # community id of each node, in node order; ids are dense 0..c-1,
@@ -72,7 +73,13 @@ def modularity(g: WeightedGraph, assignment: np.ndarray) -> float:
     _check_total_weight(two_m)
     # each undirected edge appears twice in the ij sum
     edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
-    pair_terms = (strength[:, None] * strength[None, :] / two_m)[comm[:, None] == comm[None, :]]
+    # node i's pair terms run over the members of its community in node order
+    _, dense, size = np.unique(comm, return_inverse=True, return_counts=True)
+    members, count = np.argsort(dense, kind="stable"), size[dense]
+    offset = (np.cumsum(size) - size)[dense] - (np.cumsum(count) - count)
+    row = np.repeat(np.arange(g.n_nodes), count)
+    col = members[np.arange(len(row)) + np.repeat(offset, count)]
+    pair_terms = strength[row] * strength[col] / two_m
     return _sum_in_order(np.concatenate((edge_terms, -pair_terms))) / two_m
 
 
@@ -107,8 +114,13 @@ def louvain(g: WeightedGraph) -> CommunityPartition:
         # collapse communities into super-nodes; intra edges become self-loops,
         # and each pair's weights add in edge order, pairs ascending
         lo, hi = np.minimum(comm[src], comm[dst]), np.maximum(comm[src], comm[dst])
-        pairs, inverse = np.unique(lo * n + hi, return_inverse=True)
-        src, dst = np.divmod(pairs, n)
+        key = (lo * n + hi).astype(np.min_scalar_type(n * n - 1))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        distinct = np.concatenate(([True], key[1:] != key[:-1]))
+        inverse = np.empty(len(key), dtype=np.intp)
+        inverse[order] = np.cumsum(distinct) - 1
+        src, dst = np.divmod(key[distinct].astype(np.intp), n)
         weight = np.bincount(inverse, weights=weight)
         levels += 1
         if n == 1:
@@ -121,8 +133,14 @@ def louvain(g: WeightedGraph) -> CommunityPartition:
 def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """One Louvain phase over integer nodes; returns the community of each node.
 
-    Per visit, one ``bincount`` gives the node's link weight to each neighbouring
-    community and one ``argmax`` the first best gain: about a dozen numpy calls."""
+    The first pass visits node by node: one ``bincount`` gives the node's link
+    weight to each neighbouring community and one ``argmax`` the first best
+    gain, about a dozen numpy calls.  Later passes mostly confirm that nothing
+    moves, so ``_settle`` evaluates the nodes up to the next mover in batched
+    sweeps, and only the mover is visited.  A node that stays leaves every
+    total as it was, apart from the ``(x - s) + s`` rounding on its own
+    community, which ``_settle`` replays; its gains are therefore the same
+    floats the visit would compute, and the result is the loop's to the bit."""
     loop = src == dst
     # each non-loop edge is a link from both ends; a stable sort by start
     # node lists every node's links in edge order
@@ -139,36 +157,98 @@ def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -
     if m <= 0.0:
         return comm
     _check_total_weight(two_m)
-    order = np.argsort(start, kind="stable")
-    end, link_weight = end[order], link_weight[order]
-    stop = np.cumsum(np.bincount(start, minlength=n)).tolist()
+    # a stable sort's permutation is unique; numpy radix-sorts 8- and 16-bit keys
+    order = np.argsort(start.astype(np.min_scalar_type(n - 1)), kind="stable")
+    offset = [0] + np.cumsum(np.bincount(start, minlength=n)).tolist()
+    start, end, link_weight = start[order], end[order], link_weight[order]
+    adjacency = (offset, start, end, link_weight)
     comm_total = strength.copy()
-    strength, comm_of, two_m_m = strength.tolist(), comm.tolist(), 2.0 * m * m
+    strength_of, comm_of, two_m_m = strength.tolist(), comm.tolist(), 2.0 * m * m
 
-    improved = True
+    def visit(u: int) -> bool:
+        # u's links are end[lo:hi]; one vector holds the gain of each neighbouring community
+        current, s, lo, hi = comm_of[u], strength_of[u], offset[u], offset[u + 1]
+        comm_total[current] -= s
+        best = current
+        if lo < hi:
+            near = comm[end[lo:hi]]
+            links = np.bincount(near, weights=link_weight[lo:hi], minlength=n)
+            # candidates ascend, so the first maximum is the smallest id among equal gains
+            cand = np.bincount(near, minlength=n).nonzero()[0]
+            gain = (links[cand] - links[current]) / m
+            gain -= s * (comm_total[cand] - comm_total[current]) / two_m_m
+            i = gain.argmax()
+            if gain[i] != gain[i]:  # argmax stops at a NaN; NaN gains never win
+                i = np.where(gain > DEFAULT_MIN_GAIN, gain, -np.inf).argmax()
+            best = int(cand[i]) if gain[i] > DEFAULT_MIN_GAIN else current
+        comm_total[best] += s
+        if best != current:
+            comm[u] = comm_of[u] = best
+        return best != current
+
+    improved = any([visit(u) for u in range(n)])
     while improved:
-        improved = False
-        # u's links are end[lo:hi]; one vector holds the gain of each neighboring community
-        for u, lo, hi in zip(range(n), [0] + stop, stop):
-            current, s = comm_of[u], strength[u]
-            comm_total[current] -= s
-            best = current
-            if lo < hi:
-                near = comm[end[lo:hi]]
-                links = np.bincount(near, weights=link_weight[lo:hi], minlength=n)
-                # candidates ascend, so the first maximum is the smallest id among equal gains
-                cand = np.bincount(near, minlength=n).nonzero()[0]
-                gain = (links[cand] - links[current]) / m
-                gain -= s * (comm_total[cand] - comm_total[current]) / two_m_m
-                i = gain.argmax()
-                if gain[i] != gain[i]:  # argmax stops at a NaN; NaN gains never win
-                    i = np.where(gain > DEFAULT_MIN_GAIN, gain, -np.inf).argmax()
-                best = int(cand[i]) if gain[i] > DEFAULT_MIN_GAIN else current
-            comm_total[best] += s
-            if best != current:
-                comm[u] = comm_of[u] = best
-                improved = True
+        improved, u = False, _settle(0, comm, comm_total, strength, adjacency, m)
+        while u < n:
+            improved = visit(u)  # True: u is the mover _settle found
+            u = _settle(u + 1, comm, comm_total, strength, adjacency, m)
     return comm
+
+
+# node x community cells of one _settle sweep, which bound its memory
+_SETTLE_CELLS = 1 << 20
+
+
+def _settle(u: int, comm, comm_total, strength, adjacency, m: float) -> int:
+    """Visit nodes u, u+1, ... of ``_local_moves`` while none of them moves.
+
+    Returns the first node that would move (n if none), with ``comm_total``
+    as the visits before it leave it.  Sweeps take 32, 64, 128, ... nodes,
+    at most ``_SETTLE_CELLS // c`` (c communities).  In each, one ``bincount``
+    keyed ``row * c + community`` adds each node's link weights in link
+    order, as the visit's ``bincount`` does; a Python replay of
+    ``(x - s) + s`` gives each community's total before every visit; then
+    the visit's gain expression runs on the same floats.  A node moves iff
+    some linked community other than its own gains more than
+    DEFAULT_MIN_GAIN (its own gains 0 or NaN), so the first such node is the
+    loop's next mover.
+    """
+    offset, start, end, link_weight = adjacency
+    n, two_m_m = len(comm), 2.0 * m * m
+    ids, dense = np.unique(comm, return_inverse=True)
+    # the next mover often comes early, so sweeps start short and double
+    c, rows = len(ids), 32
+    while u < n:
+        v = min(n, u + min(rows, max(1, _SETTLE_CELLS // c)))
+        rows *= 2
+        own, totals = dense[u:v], comm_total[ids]
+        during, after, now = [], [], totals.tolist()
+        for k, s in zip(own.tolist(), strength[u:v].tolist()):
+            during.append(now[k] - s)
+            now[k] = during[-1] + s
+            after.append(now[k])
+        # seen[i, k] indexes community k's total before row i in (totals, after)
+        seen = np.zeros((v - u + 1, c), dtype=np.intp)
+        seen[0] = np.arange(c)
+        seen[np.arange(1, v - u + 1), own] = c + np.arange(v - u)
+        np.maximum.accumulate(seen, axis=0, out=seen)
+        totals = np.concatenate((totals, after))
+        lo, hi = offset[u], offset[v]
+        key = (start[lo:hi] - u) * c + dense[end[lo:hi]]
+        link_sum = np.bincount(key, weights=link_weight[lo:hi], minlength=(v - u) * c)
+        cell = np.bincount(key, minlength=(v - u) * c).nonzero()[0]
+        row, col = np.divmod(cell, c)
+        keep = col != own[row]
+        row, col = row[keep], col[keep]
+        gain = (link_sum[row * c + col] - link_sum[row * c + own[row]]) / m
+        gain -= strength[u + row] * (totals[seen[row, col]] - np.take(during, row)) / two_m_m
+        mover = row[gain > DEFAULT_MIN_GAIN]
+        stop = int(mover[0]) if len(mover) else v - u
+        comm_total[ids] = totals[seen[stop]]
+        if len(mover):
+            return u + stop
+        u = v
+    return n
 
 
 def write_communities_csv(partition: CommunityPartition, path: str | Path) -> None:

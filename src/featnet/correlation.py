@@ -23,12 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import FeatureTable, _write_csv
+from .dataset import FeatureTable, _plain_annotations, _write_csv
 from .errors import TooFewRows
 
 CORRELATION_MODES = ("tie_aware", "literal_formula")
 
 
+@_plain_annotations
 class CorrelationMatrix(NamedTuple):
     """A feature-by-feature matrix: Spearman correlations, or the distances
     or similarities derived from them.  ``warnings`` describes the

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import FeatureTable, LABEL_LEGITIMATE
+from .dataset import FeatureTable, LABEL_LEGITIMATE, _plain_annotations
 from .errors import DegenerateLabels, RankDeficient
 from .pipeline import GBTParams
 
@@ -399,6 +399,7 @@ class PowerIterationPCA:
         return (np.asarray(X, dtype=np.float64) - self.mean_) @ self.components_
 
 
+@_plain_annotations
 class FeatureSubsetSpec(NamedTuple):
     """Which inputs the classifier sees: named columns or PCA components."""
 
@@ -420,6 +421,7 @@ class FeatureSubsetSpec(NamedTuple):
         return {"mode": self.mode, "k": self.k}
 
 
+@_plain_annotations
 class EvalReport(NamedTuple):
     accuracy: float
     subset: FeatureSubsetSpec

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .dataset import _write_csv
+from .dataset import _plain_annotations, _write_csv
 from .errors import DegenerateDistribution, UncoveredNode
 
 GAMMA_METHODS = ("loglog_ols", "mle")
@@ -93,6 +93,7 @@ def build_graph(sim: CorrelationMatrix) -> WeightedGraph:
     return g
 
 
+@_plain_annotations
 class SpanningTree(NamedTuple):
     """Tree edge i joins ``nodes[src[i]]`` and ``nodes[dst[i]]`` with
     ``weight[i]``, in the order Kruskal chose it; ``src`` is the endpoint
@@ -190,6 +191,7 @@ def degree_distribution(tree: SpanningTree) -> list[tuple[int, int, float]]:
     return [(int(k), int(c), int(c) / n) for k, c in zip(ks, counts)]
 
 
+@_plain_annotations
 class GammaEstimate(NamedTuple):  # fields in the order of the manifest's keys
     gamma: float
     r_squared: float | None  # None for mle
@@ -236,12 +238,12 @@ def write_degree_distribution_csv(
     _write_csv(path, ["k", "count", "pk"], dist)
 
 
-def _node_labels(tree: SpanningTree, communities: np.ndarray, hubs: np.ndarray):
-    """(name, community id, is hub) of each node, in node order."""
-    if len(communities) != len(tree.nodes):
-        raise UncoveredNode(f"{len(communities)} community ids for {len(tree.nodes)} nodes")
-    is_hub = np.isin(np.arange(len(tree.nodes)), hubs)
-    return zip(tree.nodes, communities.tolist(), is_hub.tolist())
+def _node_labels(ids: list[str], communities: np.ndarray, hubs: np.ndarray):
+    """(node ID, community id, is hub) of each node, in node order."""
+    if len(communities) != len(ids):
+        raise UncoveredNode(f"{len(communities)} community ids for {len(ids)} nodes")
+    is_hub = np.isin(np.arange(len(ids)), hubs)
+    return zip(ids, communities.tolist(), is_hub.tolist())
 
 
 def write_dot(
@@ -257,11 +259,12 @@ def write_dot(
     XML escapes instead.
     """
     lines = ["graph feature_network {"]
-    for n, cid, hub in _node_labels(tree, communities, hubs):
+    ids = [_dot_id(n) for n in tree.nodes]
+    for i, cid, hub in _node_labels(ids, communities, hubs):
         shape = ", shape=box" if hub else ""
-        lines.append(f"  {_dot_id(n)} [community={cid}{shape}];")
-    for u, v, w in tree.edges:
-        lines.append(f'  {_dot_id(u)} -- {_dot_id(v)} [weight="{w:.6f}"];')
+        lines.append(f"  {i} [community={cid}{shape}];")
+    for u, v, w in zip(tree.src.tolist(), tree.dst.tolist(), tree.weight.tolist()):
+        lines.append(f'  {ids[u]} -- {ids[v]} [weight="{w:.6f}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -303,13 +306,14 @@ def write_graphml(
         '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
         '  <graph id="feature_network" edgedefault="undirected">',
     ]
-    for n, cid, hub in _node_labels(tree, communities, hubs):
-        out.append(f"    <node id={_quoteattr(n)}>")
+    ids = [_quoteattr(n) for n in tree.nodes]
+    for i, cid, hub in _node_labels(ids, communities, hubs):
+        out.append(f"    <node id={i}>")
         out.append(f'      <data key="community">{cid}</data>')
         out.append(f'      <data key="hub">{"true" if hub else "false"}</data>')
         out.append("    </node>")
-    for u, v, w in tree.edges:
-        out.append(f"    <edge source={_quoteattr(u)} target={_quoteattr(v)}>")
+    for u, v, w in zip(tree.src.tolist(), tree.dst.tolist(), tree.weight.tolist()):
+        out.append(f"    <edge source={ids[u]} target={ids[v]}>")
         out.append(f'      <data key="weight">{w:.6f}</data>')
         out.append("    </edge>")
     out.append("  </graph>")

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import (
-    FeatureTable, Partition, _Checked, _take_rows, class_proportions, load_dataset, partition,
+    FeatureTable, Partition, _Checked, _plain_annotations, _take_rows, class_proportions,
+    load_dataset, partition,
 )
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
@@ -36,6 +37,7 @@ PARTITION_ORDER = tuple(p.value for p in Partition)
 ANALYZE_FILES = ("hubs.csv", "communities.csv", "mst.dot", "mst.graphml", "degree_dist.csv")
 
 
+@_plain_annotations
 class _GBTParamsFields(NamedTuple):
     n_rounds: int = 200
     learning_rate: float = 0.1
@@ -56,6 +58,7 @@ class GBTParams(_Checked, _GBTParamsFields):
         return self
 
 
+@_plain_annotations
 class _PipelineConfigFields(NamedTuple):
     input_path: str
     fmt: str = "auto"
@@ -99,6 +102,7 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
         return self
 
 
+@_plain_annotations
 class PartitionOutcome(NamedTuple):
     """Everything computed for one data partition; its ``_asdict()`` is JSON-ready."""
 
@@ -113,6 +117,7 @@ class PartitionOutcome(NamedTuple):
     degree_distribution: list
 
 
+@_plain_annotations
 class RunManifest(NamedTuple):
     schema_version: int
     tool_version: str
@@ -134,6 +139,7 @@ class RunManifest(NamedTuple):
         raise KeyError(f"no outcome for partition {name!r}")
 
 
+@_plain_annotations
 class PartitionArtifacts(NamedTuple):
     outcome: PartitionOutcome
     tree: SpanningTree
@@ -282,6 +288,7 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     return sorted(names[i] for i in np.flatnonzero(top)) + sorted(names[i] for i in attached)
 
 
+@_plain_annotations
 class EvalComparison(NamedTuple):
     hub_reports: tuple[EvalReport, ...]
     pca_reports: tuple[EvalReport, ...]

@@ -482,6 +482,23 @@ def _louvain_local_moves(n, edges, min_gain):
     return comm
 
 
+def modularity_masks(g, assignment):
+    """Q as the package computed it before it listed each community's
+    members: every node-pair term from two n x n temporaries, taken by a
+    boolean mask in row-major order."""
+
+    def sum_in_order(values):
+        return float(np.cumsum(np.append(0.0, values))[-1])
+
+    comm = np.asarray(assignment)
+    ends = np.column_stack((g.src, g.dst)).ravel()
+    strength = np.bincount(ends, weights=np.repeat(g.weight, 2), minlength=g.n_nodes)
+    two_m = sum_in_order(strength)
+    edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
+    pair_terms = (strength[:, None] * strength[None, :] / two_m)[comm[:, None] == comm[None, :]]
+    return sum_in_order(np.concatenate((edge_terms, -pair_terms))) / two_m
+
+
 def local_moves_split(n, src, dst, weight, min_gain=1e-9):
     """One Louvain local-move phase over edge arrays, as the package ran it
     before its per-node loop read slices: each node's links are

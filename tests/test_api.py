@@ -1,4 +1,6 @@
+import inspect
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -112,6 +114,15 @@ def records(reference_table):
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_record_fields_are_pinned(records, name):
     assert type(records[name])._fields == RECORDS[name]
+
+
+def test_record_signatures_show_plain_annotations(records):
+    # NamedTuple wraps each string annotation of a module that imports
+    # annotations from __future__ in a typing.ForwardRef
+    for record in records.values():
+        parameters = inspect.signature(type(record)).parameters.values()
+        wrapped = [p.name for p in parameters if isinstance(p.annotation, typing.ForwardRef)]
+        assert not wrapped, type(record)
 
 
 @pytest.mark.parametrize("name", list(RECORDS))

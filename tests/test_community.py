@@ -3,10 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from featnet import WeightedGraph, louvain, modularity
+from featnet import community
 from featnet.community import _local_moves
 from featnet.errors import FeatnetError, UncoveredNode
 
-from .oracles import best_partition_exhaustive, local_moves_split, modularity_matrix_form
+from .oracles import (
+    best_partition_exhaustive, local_moves_split, modularity_masks, modularity_matrix_form,
+)
 
 
 def random_graph(rng, n, edge_prob=0.7):
@@ -61,6 +64,27 @@ def test_modularity_matches_matrix_oracle():
         assert modularity(g, assignment) == pytest.approx(
             modularity_matrix_form(g.nodes, g.edges, named), abs=1e-12
         )
+
+
+@st.composite
+def graphs_with_ids(draw):
+    """A graph with positive weights and one community id per node, drawn
+    from a range that holds negative and far-apart ids."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    names = [f"n{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weight = st.floats(min_value=1e-3, max_value=1e3)
+    edges = [(names[i], names[j], draw(weight)) for i, j in chosen]
+    ids = draw(st.lists(st.integers(-(2**40), 2**40) | st.integers(-3, 3), min_size=n, max_size=n))
+    return WeightedGraph(names, edges), np.array(ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_ids())
+def test_modularity_equals_mask_formula(drawn):
+    g, ids = drawn
+    assert modularity(g, ids) == modularity_masks(g, ids)
 
 
 def test_uncovered_node():
@@ -282,3 +306,76 @@ def test_local_moves_equal_split_oracle(level):
 
     with np.errstate(all="ignore"):
         assert outcome(_local_moves) == outcome(local_moves_split)
+
+
+def settle_calls(monkeypatch):
+    """Spy on ``_settle``: record (first node, returned node) of each call,
+    and check the community totals it leaves against the stayers' visits
+    replayed one at a time, each subtracting and adding back its strength."""
+    calls = []
+    settle = community._settle
+
+    def spy(u, comm, comm_total, strength, adjacency, m):
+        expected = comm_total.copy()
+        stop = settle(u, comm, comm_total, strength, adjacency, m)
+        for w in range(u, stop):
+            expected[comm[w]] = (expected[comm[w]] - strength[w]) + strength[w]
+        assert np.array_equal(comm_total, expected, equal_nan=True)
+        calls.append((u, stop))
+        return stop
+
+    monkeypatch.setattr(community, "_settle", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [3, community._SETTLE_CELLS])
+@settings(max_examples=200, deadline=None)
+@given(level=edge_arrays())
+# the community that a mover leaves holds a total that (x - s) + s would change
+@example(
+    level=(
+        5, np.array([1, 4, 4, 0, 2, 4]), np.array([2, 1, 3, 4, 3, 2]),
+        np.array([1 / 3, 0.3, 0.7, 0.7, 0.5, 0.7]),
+    )
+)
+def test_settle_equals_node_by_node_visits(cells, level):
+    # at 3 cells a sweep holds one to three nodes, so totals carry over between sweeps
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(community, "_SETTLE_CELLS", cells)
+        settle_calls(mp)
+        try:
+            found = _local_moves(*level).tolist()
+        except FeatnetError as exc:
+            found = str(exc)
+        try:
+            expected = local_moves_split(*level).tolist()
+        except ArithmeticError as exc:
+            expected = str(exc)
+    assert found == expected
+
+
+# an edge 0-2, a triangle 3-4-5 and node 1, whose only edge is a self-loop:
+# the first pass moves 0 to 2, 3 to 4 and 4 to 5, which leaves 3 alone and
+# four communities; the second pass moves 3 to 5, after the link-less node 1
+SETTLE_LEVEL = (
+    6, np.array([0, 3, 3, 4, 1]), np.array([2, 4, 5, 5, 1]), np.array([0.3, 0.2, 0.1, 0.3, 0.1])
+)
+
+
+def test_settle_finds_second_pass_mover_past_self_loop(monkeypatch):
+    calls = settle_calls(monkeypatch)
+    assert _local_moves(*SETTLE_LEVEL).tolist() == local_moves_split(*SETTLE_LEVEL).tolist()
+    # the first sweep starts before node 1 and stops at the mover, node 3
+    assert calls[0] == (0, 3)
+    assert calls[-1] == (0, 6)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 8])
+def test_settle_spans_several_sweeps(monkeypatch, cells):
+    # at most `cells` node x community cells per sweep over four communities:
+    # one node per sweep at 1 and 2 cells, two at 8
+    expected = _local_moves(*SETTLE_LEVEL).tolist()
+    monkeypatch.setattr(community, "_SETTLE_CELLS", cells)
+    calls = settle_calls(monkeypatch)
+    assert _local_moves(*SETTLE_LEVEL).tolist() == expected
+    assert calls[0] == (0, 3)

@@ -319,6 +319,13 @@ def test_k300_tree_and_louvain_equal_dict_oracles(constant_column):
     assert named_partition(louvain(g)) == louvain_dict(oracle)
 
 
+def test_louvain_equals_dict_oracle_on_wide_sized_table():
+    # 300 features x 1,000 rows from 10 factors, as in the wide benchmark: the
+    # first pass moves most nodes and later passes are settled in sweeps
+    g = similarity_graph(partition(latent_group_table(7, 300, n=1000), Partition.ALL))
+    assert named_partition(louvain(g)) == louvain_dict(DictGraph(g.nodes, g.edges))
+
+
 # --- degrees and hubs --------------------------------------------------------
 
 def path_tree(*names):
