@@ -6,21 +6,18 @@ toward the smallest community id.  Two runs on the same graph therefore
 produce identical partitions.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _plain_annotations, _write_csv
+from .dataset import _write_csv
 from .errors import FeatnetError, UncoveredNode
 from .graph import WeightedGraph, _sum_in_order
 
 DEFAULT_MIN_GAIN = 1e-9
 
 
-@_plain_annotations
 class CommunityPartition(NamedTuple):
     nodes: tuple[str, ...]
     # community id of each node, in node order; ids are dense 0..c-1,
@@ -138,9 +135,9 @@ def _local_moves(n: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -
     gain, about a dozen numpy calls.  Later passes mostly confirm that nothing
     moves, so ``_settle`` evaluates the nodes up to the next mover in batched
     sweeps, and only the mover is visited.  A node that stays leaves every
-    total as it was, apart from the ``(x - s) + s`` rounding on its own
-    community, which ``_settle`` replays; its gains are therefore the same
-    floats the visit would compute, and the result is the loop's to the bit."""
+    total as it was unless ``(x - s) + s`` rounds its own community's total;
+    a sweep ends at such a node, so each node's gains are the same floats
+    its visit would compute, and the result is the loop's to the bit."""
     loop = src == dst
     # each non-loop edge is a link from both ends; a stable sort by start
     # node lists every node's links in edge order
@@ -204,14 +201,21 @@ def _settle(u: int, comm, comm_total, strength, adjacency, m: float) -> int:
 
     Returns the first node that would move (n if none), with ``comm_total``
     as the visits before it leave it.  Sweeps take 32, 64, 128, ... nodes,
-    at most ``_SETTLE_CELLS // c`` (c communities).  In each, one ``bincount``
-    keyed ``row * c + community`` adds each node's link weights in link
-    order, as the visit's ``bincount`` does; a Python replay of
-    ``(x - s) + s`` gives each community's total before every visit; then
-    the visit's gain expression runs on the same floats.  A node moves iff
-    some linked community other than its own gains more than
-    DEFAULT_MIN_GAIN (its own gains 0 or NaN), so the first such node is the
-    loop's next mover.
+    at most ``_SETTLE_CELLS // c`` (c communities), and read the totals they
+    start with.  A stay changes its own community's total only where
+    ``(x - s) + s != x``; a sweep ends at the first such node and, if no node
+    in it moves, writes that total back.  One ``bincount`` keyed
+    ``row * c + community`` adds each node's link weights in link order, as
+    the visit's ``bincount`` does, and the visit's gain expression runs on
+    the same floats.  A node moves iff some linked community other than its
+    own gains more than DEFAULT_MIN_GAIN (its own gains 0 or NaN), so the
+    first such node is the loop's next mover.
+
+    Each call takes an ``np.unique`` of all n ids and each sweep rows * c
+    cells, which sparse graphs whose later passes keep moving nodes pay
+    for: on 3,000 nodes of mean degree 20 in 60 planted groups (about 1,350
+    later moves), ``louvain`` takes 231 ms against 217 ms with plain visits
+    (one CPU core, median of 15).
     """
     offset, start, end, link_weight = adjacency
     n, two_m_m = len(comm), 2.0 * m * m
@@ -221,18 +225,12 @@ def _settle(u: int, comm, comm_total, strength, adjacency, m: float) -> int:
     while u < n:
         v = min(n, u + min(rows, max(1, _SETTLE_CELLS // c)))
         rows *= 2
-        own, totals = dense[u:v], comm_total[ids]
-        during, after, now = [], [], totals.tolist()
-        for k, s in zip(own.tolist(), strength[u:v].tolist()):
-            during.append(now[k] - s)
-            now[k] = during[-1] + s
-            after.append(now[k])
-        # seen[i, k] indexes community k's total before row i in (totals, after)
-        seen = np.zeros((v - u + 1, c), dtype=np.intp)
-        seen[0] = np.arange(c)
-        seen[np.arange(1, v - u + 1), own] = c + np.arange(v - u)
-        np.maximum.accumulate(seen, axis=0, out=seen)
-        totals = np.concatenate((totals, after))
+        totals, own, s = comm_total[ids], dense[u:v], strength[u:v]
+        during = totals[own] - s
+        drift = (during + s != totals[own]).nonzero()[0]
+        if len(drift):
+            v = u + int(drift[0]) + 1
+            own, s, during = own[: v - u], s[: v - u], during[: v - u]
         lo, hi = offset[u], offset[v]
         key = (start[lo:hi] - u) * c + dense[end[lo:hi]]
         link_sum = np.bincount(key, weights=link_weight[lo:hi], minlength=(v - u) * c)
@@ -241,12 +239,11 @@ def _settle(u: int, comm, comm_total, strength, adjacency, m: float) -> int:
         keep = col != own[row]
         row, col = row[keep], col[keep]
         gain = (link_sum[row * c + col] - link_sum[row * c + own[row]]) / m
-        gain -= strength[u + row] * (totals[seen[row, col]] - np.take(during, row)) / two_m_m
+        gain -= s[row] * (totals[col] - during[row]) / two_m_m
         mover = row[gain > DEFAULT_MIN_GAIN]
-        stop = int(mover[0]) if len(mover) else v - u
-        comm_total[ids] = totals[seen[stop]]
         if len(mover):
-            return u + stop
+            return u + int(mover[0])
+        comm_total[ids[own[-1]]] = during[-1] + s[-1]
         u = v
     return n
 

@@ -16,20 +16,17 @@ rows; the literal formula's sum of squared rank differences, up to
 n(n^2-1)/3, is exact for n up to about 1.9e5.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import FeatureTable, _plain_annotations, _write_csv
+from .dataset import FeatureTable, _write_csv
 from .errors import TooFewRows
 
 CORRELATION_MODES = ("tie_aware", "literal_formula")
 
 
-@_plain_annotations
 class CorrelationMatrix(NamedTuple):
     """A feature-by-feature matrix: Spearman correlations, or the distances
     or similarities derived from them.  ``warnings`` describes the

@@ -6,8 +6,6 @@ categorical code in {-1, 0, 1}, the last column is the class label in
 subset are supported.
 """
 
-from __future__ import annotations
-
 import csv
 import inspect
 import io
@@ -46,17 +44,6 @@ class _Checked:
         return type(self)(**{**self._asdict(), **changes})
 
 
-def _plain_annotations(cls):
-    """Give a NamedTuple its annotations back as written.  Under ``from
-    __future__ import annotations`` NamedTuple wraps each one in a
-    ``typing.ForwardRef``, which ``inspect.signature`` would show."""
-    hints = cls.__new__.__annotations__  # the same dict as cls.__annotations__
-    for name, hint in hints.items():
-        hints[name] = getattr(hint, "__forward_arg__", hint)
-    return cls
-
-
-@_plain_annotations
 class _FeatureTableFields(NamedTuple):
     feature_names: tuple[str, ...]
     rows: np.ndarray

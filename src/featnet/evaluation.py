@@ -8,13 +8,11 @@ ensemble of regression trees trained on the logistic loss with second-order
 search works on integer bins.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import FeatureTable, LABEL_LEGITIMATE, _plain_annotations
+from .dataset import FeatureTable, LABEL_LEGITIMATE
 from .errors import DegenerateLabels, RankDeficient
 from .pipeline import GBTParams
 
@@ -399,7 +397,6 @@ class PowerIterationPCA:
         return (np.asarray(X, dtype=np.float64) - self.mean_) @ self.components_
 
 
-@_plain_annotations
 class FeatureSubsetSpec(NamedTuple):
     """Which inputs the classifier sees: named columns or PCA components."""
 
@@ -421,7 +418,6 @@ class FeatureSubsetSpec(NamedTuple):
         return {"mode": self.mode, "k": self.k}
 
 
-@_plain_annotations
 class EvalReport(NamedTuple):
     accuracy: float
     subset: FeatureSubsetSpec

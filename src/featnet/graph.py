@@ -13,8 +13,6 @@ names in sorted name order, which is the lexicographic (min-name, max-name)
 pair, so repeated runs produce identical trees.
 """
 
-from __future__ import annotations
-
 import math
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -22,7 +20,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .dataset import _plain_annotations, _write_csv
+from .dataset import _write_csv
 from .errors import DegenerateDistribution, UncoveredNode
 
 GAMMA_METHODS = ("loglog_ols", "mle")
@@ -93,7 +91,6 @@ def build_graph(sim: CorrelationMatrix) -> WeightedGraph:
     return g
 
 
-@_plain_annotations
 class SpanningTree(NamedTuple):
     """Tree edge i joins ``nodes[src[i]]`` and ``nodes[dst[i]]`` with
     ``weight[i]``, in the order Kruskal chose it; ``src`` is the endpoint
@@ -191,7 +188,6 @@ def degree_distribution(tree: SpanningTree) -> list[tuple[int, int, float]]:
     return [(int(k), int(c), int(c) / n) for k, c in zip(ks, counts)]
 
 
-@_plain_annotations
 class GammaEstimate(NamedTuple):  # fields in the order of the manifest's keys
     gamma: float
     r_squared: float | None  # None for mle

@@ -7,8 +7,6 @@ manifest plus per-partition CSV/DOT/GraphML exports.  Everything is seeded
 and order-fixed, so rerunning a config reproduces the outputs byte for byte.
 """
 
-from __future__ import annotations
-
 import inspect
 import json
 import os
@@ -20,7 +18,7 @@ import numpy as np
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import (
-    FeatureTable, Partition, _Checked, _plain_annotations, _take_rows, class_proportions,
+    FeatureTable, Partition, _Checked, _take_rows, class_proportions,
     load_dataset, partition,
 )
 from .errors import DegenerateDistribution, FeatnetError
@@ -37,7 +35,6 @@ PARTITION_ORDER = tuple(p.value for p in Partition)
 ANALYZE_FILES = ("hubs.csv", "communities.csv", "mst.dot", "mst.graphml", "degree_dist.csv")
 
 
-@_plain_annotations
 class _GBTParamsFields(NamedTuple):
     n_rounds: int = 200
     learning_rate: float = 0.1
@@ -58,7 +55,6 @@ class GBTParams(_Checked, _GBTParamsFields):
         return self
 
 
-@_plain_annotations
 class _PipelineConfigFields(NamedTuple):
     input_path: str
     fmt: str = "auto"
@@ -83,6 +79,8 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if not self.partitions:
             raise ValueError("at least one partition (--partitions) must be selected")
+        if self.eval_features is not None and not self.eval_features:
+            raise ValueError("eval_features (--features) names no feature; omit it to derive the hubs")
         unknown = [p for p in self.partitions if p not in PARTITION_ORDER]
         if unknown:
             raise ValueError(f"unknown partitions (--partitions): {unknown}")
@@ -102,7 +100,6 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
         return self
 
 
-@_plain_annotations
 class PartitionOutcome(NamedTuple):
     """Everything computed for one data partition; its ``_asdict()`` is JSON-ready."""
 
@@ -117,7 +114,6 @@ class PartitionOutcome(NamedTuple):
     degree_distribution: list
 
 
-@_plain_annotations
 class RunManifest(NamedTuple):
     schema_version: int
     tool_version: str
@@ -139,7 +135,6 @@ class RunManifest(NamedTuple):
         raise KeyError(f"no outcome for partition {name!r}")
 
 
-@_plain_annotations
 class PartitionArtifacts(NamedTuple):
     outcome: PartitionOutcome
     tree: SpanningTree
@@ -288,10 +283,9 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     return sorted(names[i] for i in np.flatnonzero(top)) + sorted(names[i] for i in attached)
 
 
-@_plain_annotations
 class EvalComparison(NamedTuple):
-    hub_reports: tuple[EvalReport, ...]
-    pca_reports: tuple[EvalReport, ...]
+    hub_reports: tuple["EvalReport", ...]
+    pca_reports: tuple["EvalReport", ...]
     hub_mean: float
     pca_mean: float
     hub_std: float
@@ -317,14 +311,14 @@ class EvalComparison(NamedTuple):
 def run_eval(cfg: PipelineConfig) -> EvalComparison:
     """Compare hub-feature accuracy against a PCA baseline over seed sweeps.
 
-    The hub features are the config's eval_features or, when it names none,
+    The hub features are the config's eval_features or, when it is None,
     the connected-hub selection computed from the all-websites tree.
     """
     from .evaluation import FeatureSubsetSpec, evaluate  # only eval loads the classifier
 
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
     features = cfg.eval_features
-    if not features:
+    if features is None:
         arts = analyze_partition(table, cfg, "all")
         features = select_connected_hubs(arts.tree, threshold=cfg.hub_threshold)
         if not features:

@@ -201,18 +201,6 @@ def test_eval_rejects_learning_rate_that_is_not_positive_and_finite(tmp_path, ca
     assert "learning rate must be positive and finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("features", ["", " , "])
-def test_eval_blank_feature_list_derives_hubs(tmp_path, capsys, features):
-    data = synthetic_csv(tmp_path / "data.csv", n=150, k=5, seed=9)
-    # at threshold 0 every tree on 5 nodes has a hub, so features are derived
-    argv = ["eval", "--input", str(data), "--n-seeds", "1", "--rounds", "3",
-            "--hub-threshold", "0"]
-    assert main(argv) == 0
-    derived = capsys.readouterr().out
-    assert main(argv + ["--features", features]) == 0
-    assert capsys.readouterr().out == derived
-
-
 def test_stability_without_options_uses_library_defaults(tmp_path, capsys):
     data = synthetic_csv(tmp_path / "data.csv", n=90, k=4, seed=10)
     report_path = tmp_path / "stability.json"
@@ -412,6 +400,10 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
         (["stability", "--n-subsamples", "1"], "--n-subsamples"),
         (["stability", "--fraction", "0"], "--fraction"),
         (["analyze", "--partitions", ","], "--partitions"),
+        # a list that names no feature is an error, not a request to derive the hubs
+        (["eval", "--features", ","], "--features"),
+        (["eval", "--features", ""], "--features"),
+        (["eval", "--features", " , "], "--features"),
     ],
 )
 def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):

@@ -297,6 +297,22 @@ def edge_arrays(draw):
 @example(
     (5, np.array([0, 0, 1, 1]), np.array([2, 4, 2, 3]), np.array([-1e308, 1.0, 0.0, 1e308]))
 )
+# two graphs drawn from np.random.default_rng(3) (3 to 13 nodes, each pair
+# linked with a probability drawn from [0.2, 1], weights 1, 2 or 3): on the
+# first a stayer whose best gain is 0 taken for a mover ends a pass early,
+# on the second a mover whose gain is under 1e-3 is missed
+@example(
+    (
+        5, np.array([0, 0, 0, 0, 1, 2, 2, 3]), np.array([1, 2, 3, 4, 3, 3, 4, 4]),
+        np.array([2.0, 3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 3.0]),
+    )
+)
+@example(
+    (
+        6, np.array([0, 0, 0, 0, 1, 1, 1, 2, 3, 4]), np.array([1, 2, 4, 5, 2, 3, 5, 5, 5, 5]),
+        np.array([2.0, 3.0, 3.0, 3.0, 1.0, 3.0, 3.0, 1.0, 2.0, 3.0]),
+    )
+)
 def test_local_moves_equal_split_oracle(level):
     def outcome(fn):
         try:
@@ -338,6 +354,9 @@ def settle_calls(monkeypatch):
         np.array([1 / 3, 0.3, 0.7, 0.7, 0.5, 0.7]),
     )
 )
+# all three nodes join community 2; in the second pass node 0's stay rounds
+# its total 1.8 to 1.8000000000000003, so a sweep ends there and writes it back
+@example(level=(3, np.array([1, 2, 2]), np.array([2, 1, 0]), np.array([0.2, 0.1, 0.6])))
 def test_settle_equals_node_by_node_visits(cells, level):
     # at 3 cells a sweep holds one to three nodes, so totals carry over between sweeps
     with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
