@@ -10,12 +10,8 @@ Exit codes: 0 success, 1 usage error, 2 data or file error, 3 partial failure
 (at least one partition failed during analyze).
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .correlation import CORRELATION_MODES
 from .errors import FeatnetError
@@ -23,6 +19,8 @@ from .pipeline import (
     PARTITION_ORDER,
     GBTParams,
     PipelineConfig,
+    _json_text,
+    _write_json,
     export_matrices,
     run_eval,
     run_pipeline,
@@ -110,8 +108,8 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _write_report(payload: dict, path: str | None) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    if path is not None:
+        _write_json(path, _json_text(payload))
         print(f"report written to {path}")
 
 

@@ -35,8 +35,8 @@ class Partition(Enum):
 
 class _Checked:
     """Base of a NamedTuple subclass whose ``__new__`` checks its fields:
-    ``_replace`` goes back through ``__new__``, so a replaced field is checked
-    too, while ``_make`` builds an instance unchecked."""
+    ``_replace`` goes back through ``__new__``, and ``_make``, which skips the
+    checks, is called only by ``__new__``, on the fields it has checked."""
 
     __slots__ = ()
 
@@ -119,7 +119,8 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> FeatureTable:
     """
     path = Path(path)
     data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     parsers = {"csv": _parse_csv, "arff": _parse_arff}
     if fmt == "auto":
         fmt = path.suffix.lower()[1:]
@@ -157,17 +158,7 @@ def partition(table: FeatureTable, sel: Partition) -> FeatureTable:
     mask = table.labels == want
     if not mask.any():
         raise EmptyPartition(f"partition {sel.value!r} selects zero rows")
-    return _take_rows(table, mask)
-
-
-def _take_rows(table: FeatureTable, selector: np.ndarray) -> FeatureTable:
-    """The rows of ``table`` that ``selector`` (a mask or indices) picks.  The
-    constructor's checks are skipped: every cell and label was checked when
-    ``table`` was built.  Both arrays are left read-only, as the constructor
-    leaves them."""
-    rows, labels = table.rows[selector], table.labels[selector]
-    rows.flags.writeable = labels.flags.writeable = False
-    return FeatureTable._make((table.feature_names, rows, labels))
+    return FeatureTable(table.feature_names, table.rows[mask], table.labels[mask])
 
 
 def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:

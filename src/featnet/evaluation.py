@@ -361,7 +361,6 @@ class PowerIterationPCA:
         self.n_components = n_components
         self.mean_: np.ndarray | None = None
         self.components_: np.ndarray | None = None  # (d, k) orthonormal columns
-        self.explained_variance_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "PowerIterationPCA":
         X = np.asarray(X, dtype=np.float64)
@@ -388,7 +387,6 @@ class PowerIterationPCA:
         # sign convention: largest-|entry| coordinate is positive
         top = np.abs(vectors).argmax(axis=0)
         self.components_ = vectors * np.sign(vectors[top, np.arange(self.n_components)])
-        self.explained_variance_ = values
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:

@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import (
-    FeatureTable, Partition, _Checked, _take_rows, class_proportions,
-    load_dataset, partition,
+    FeatureTable, Partition, _Checked, class_proportions, load_dataset, partition,
 )
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
@@ -81,6 +80,8 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
             raise ValueError("at least one partition (--partitions) must be selected")
         if self.eval_features is not None and not self.eval_features:
             raise ValueError("eval_features (--features) names no feature; omit it to derive the hubs")
+        if self.out_dir == "":
+            raise ValueError("out_dir (--out) names no path")
         unknown = [p for p in self.partitions if p not in PARTITION_ORDER]
         if unknown:
             raise ValueError(f"unknown partitions (--partitions): {unknown}")
@@ -126,7 +127,7 @@ class RunManifest(NamedTuple):
         return {**self._asdict(), "partitions": [p._asdict() for p in self.partitions]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json_text(self.to_dict())
 
     def outcome(self, name: str) -> PartitionOutcome:
         for p in self.partitions:
@@ -255,14 +256,25 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             if not any(part_dir.iterdir()):
                 part_dir.rmdir()
         out_root.mkdir(parents=True, exist_ok=True)
-        # a reader sees the old manifest or the new one, never a partial file
-        tmp = out_root / f".manifest.json.{os.getpid()}.tmp"
-        try:
-            tmp.write_text(manifest.to_json(), encoding="utf-8")
-            os.replace(tmp, out_root / "manifest.json")
-        finally:
-            tmp.unlink(missing_ok=True)
+        _write_json(out_root / "manifest.json", manifest.to_json())
     return manifest
+
+
+def _json_text(payload: dict) -> str:
+    """The text of every JSON file featnet writes: indented by two, LF-ended."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write_json(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text``, as featnet writes every JSON file: through a
+    temp file renamed onto it, so a reader sees the old file or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
@@ -380,7 +392,7 @@ def stability_check(
     run_hubs: dict[str, list[set[str]]] = {name: [] for name in cfg.partitions}
     for _ in range(n_subsamples):
         rows = np.sort(rng.choice(table.n_rows, size=sample_size, replace=False))
-        sub = _take_rows(table, rows)
+        sub = FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])
         for name in cfg.partitions:
             arts = analyze_partition(sub, cfg, name)
             run_hubs[name].append({h["feature"] for h in arts.outcome.hubs})

@@ -23,6 +23,15 @@ def add_in_order(values):
     return functools.reduce(operator.add, values, 0.0)
 
 
+def variance_along(X, components):
+    """The sample variance of the rows of X along each column c of
+    components: c.T @ cov @ c, which is c's eigenvalue when c is a unit
+    eigenvector of the covariance matrix."""
+    centered = np.asarray(X, dtype=np.float64) - np.mean(X, axis=0)
+    cov = centered.T @ centered / (len(centered) - 1)
+    return np.array([c @ cov @ c for c in np.asarray(components).T])
+
+
 def rank_average_ties(values):
     """Rank of v = (#smaller) + (#equal + 1) / 2, computed by counting."""
     return [

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import featnet
-from featnet.dataset import _take_rows
 from featnet.pipeline import analyze_partition
 
 from .conftest import REFERENCE_ARFF
@@ -167,18 +166,3 @@ def test_json_forms_write_nested_records_as_objects(records):
     assert list(outcome) == list(records["PartitionOutcome"]._fields)
     assert list(outcome["gamma"]["loglog_ols"]) == list(records["GammaEstimate"]._fields)
     assert records["EvalReport"].to_dict()["params"] == cfg.gbt._asdict()
-
-
-def test_take_rows_builds_read_only_subsets_unchecked(records, monkeypatch):
-    table = records["FeatureTable"]
-
-    def refuse(cls, *args, **kwargs):
-        raise AssertionError("a trusted subset ran the constructor's checks")
-
-    monkeypatch.setattr(featnet.FeatureTable, "__new__", refuse)
-    sub = _take_rows(table, table.labels == 1)
-    assert type(sub) is featnet.FeatureTable
-    assert sub.n_rows == 6157 and sub.feature_names == table.feature_names
-    assert not sub.rows.flags.writeable and not sub.labels.flags.writeable
-    with pytest.raises(AttributeError):
-        sub.rows = table.rows

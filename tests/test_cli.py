@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from featnet import pipeline as pipeline_module
 from featnet.cli import _build_parser, _config_from_args, main
 from featnet.evaluation import GBTParams
 from featnet.pipeline import PipelineConfig, stability_check
@@ -313,6 +314,37 @@ def test_stability_command(tmp_path, capsys):
     assert "all" in payload["partitions"]
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("eval", ["--features", "feat0,feat1", "--pca-components", "2", "--rounds", "1"]),
+        ("stability", ["--partitions", "all", "--n-subsamples", "2"]),
+    ],
+)
+def test_report_is_replaced_atomically(tmp_path, capsys, monkeypatch, command, options):
+    data = synthetic_csv(tmp_path / "data.csv", n=90, k=4, seed=10)
+    report_path = tmp_path / "reports" / "report.json"
+    report_path.parent.mkdir()
+    argv = [command, "--input", str(data), *options, "--out", str(report_path)]
+    assert main(argv) == 0
+    first = report_path.read_bytes()
+    assert main(argv) == 0
+    assert report_path.read_bytes() == first
+    assert [p.name for p in report_path.parent.iterdir()] == ["report.json"]  # no temp file left
+
+    # a write that fails before the rename leaves the old report whole
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline_module.os, "replace", fail)
+    capsys.readouterr()
+    assert main([*argv, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: disk full\n" and "report written" not in out
+    assert report_path.read_bytes() == first
+    assert [p.name for p in report_path.parent.iterdir()] == ["report.json"]
+
+
 def test_export_command(tmp_path, capsys):
     data = synthetic_csv(tmp_path / "data.csv")
     out = tmp_path / "matrices"
@@ -404,15 +436,46 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
         (["eval", "--features", ","], "--features"),
         (["eval", "--features", ""], "--features"),
         (["eval", "--features", " , "], "--features"),
+        # an empty --out names no path: nothing is written to the working directory
+        (["analyze", "--out", ""], "--out"),
+        (["export", "--out", ""], "--out"),
+        (["eval", "--out", ""], "--out"),
+        (["stability", "--out", ""], "--out"),
     ],
 )
-def test_degenerate_settings_are_data_errors(tmp_path, capsys, argv, option):
+def test_degenerate_settings_are_data_errors(tmp_path, capsys, monkeypatch, argv, option):
     data = synthetic_csv(tmp_path / "data.csv")
-    if argv[0] == "analyze":
+    monkeypatch.chdir(tmp_path)  # where a bad relative --out would land
+    if argv[0] == "analyze" and "--out" not in argv:
         argv = [*argv, "--out", str(tmp_path / "out")]
     assert main([argv[0], "--input", str(data), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
+
+
+def test_every_option_given_an_empty_string_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # each option of each subcommand, given "", exits 1 or 2 without a traceback
+    # and writes nothing to the working directory
+    data = synthetic_csv(tmp_path / "data.csv")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tried = []
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.nargs == 0:  # --help takes no value
+                continue
+            flag = action.option_strings[-1]
+            # the last of a repeated option wins, so "" replaces the valid value
+            argv = [command, "--input", str(data), "--out", str(tmp_path / command), flag, ""]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (1, 2) and "Traceback" not in err, (command, flag, code, err)
+            tried.append(flag)
+    assert len(tried) == 33
+    assert list(cwd.iterdir()) == []
 
 
 def test_eval_rejects_repeated_feature(tmp_path, capsys):

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from featnet import WeightedGraph, louvain, modularity
+from featnet import (
+    Partition, WeightedGraph, build_graph, louvain, modularity, partition, spearman_matrix,
+    to_distance, to_similarity,
+)
 from featnet import community
+from featnet.correlation import CORRELATION_MODES
 from featnet.community import _local_moves
 from featnet.errors import FeatnetError, UncoveredNode
 
@@ -98,6 +102,43 @@ def test_modularity_in_range():
     for _ in range(20):
         g = random_graph(rng, 7)
         assert -1.0 <= modularity(g, rng.integers(0, 4, size=g.n_nodes)) <= 1.0
+
+
+# networkx adds Q's terms community by community, featnet over edges and then
+# node pairs: the two orders round differently.  Q lies in [-1, 1], so 1e-14,
+# about 45 ulps of 1.0, bounds that rounding and nothing larger.
+NETWORKX_TOLERANCE = 1e-14
+
+
+def networkx_modularity(g, assignment):
+    import networkx as nx
+
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(g.n_nodes))
+    nx_graph.add_weighted_edges_from(zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist()))
+    groups: dict = {}
+    for node, c in enumerate(np.asarray(assignment).tolist()):
+        groups.setdefault(c, set()).add(node)
+    return nx.community.modularity(nx_graph, list(groups.values()), weight="weight")
+
+
+@pytest.mark.parametrize("mode", CORRELATION_MODES)
+@pytest.mark.parametrize("part", list(Partition))
+def test_modularity_equals_networkx_on_shipped_graphs(reference_table, part, mode):
+    corr = spearman_matrix(partition(reference_table, part), mode=mode)
+    g = build_graph(to_similarity(to_distance(corr)))
+    found = louvain(g).assignment
+    assert abs(modularity(g, found) - networkx_modularity(g, found)) <= NETWORKX_TOLERANCE
+
+
+def test_modularity_equals_networkx_on_random_graphs():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        g = random_graph(rng, int(rng.integers(2, 16)), edge_prob=float(rng.uniform(0.2, 1.0)))
+        drawn = rng.integers(0, int(rng.integers(1, 6)), size=g.n_nodes)
+        for assignment in (drawn, louvain(g).assignment):
+            ours, theirs = modularity(g, assignment), networkx_modularity(g, assignment)
+            assert abs(ours - theirs) <= NETWORKX_TOLERANCE
 
 
 # --- louvain --------------------------------------------------------------------

@@ -315,6 +315,19 @@ def test_stability_full_fraction_is_exact(tmp_path):
     assert entry["mean_pairwise_jaccard"] == 1.0
 
 
+def test_stability_subsamples_are_checked_tables(tmp_path, monkeypatch):
+    # each subsample goes through FeatureTable's constructor, which leaves it read-only
+    data = synthetic_csv(tmp_path / "data.csv", n=80, k=4, seed=5)
+    seen = []
+    analyze = pipeline_module.analyze_partition
+    monkeypatch.setattr(
+        pipeline_module, "analyze_partition", lambda table, *a: seen.append(table) or analyze(table, *a)
+    )
+    stability_check(PipelineConfig(input_path=str(data), partitions=("all",)), n_subsamples=2)
+    assert len(seen) == 3
+    assert not any(t.rows.flags.writeable or t.labels.flags.writeable for t in seen)
+
+
 def test_stability_smoke_small_fraction(tmp_path):
     data = synthetic_csv(tmp_path / "data.csv", n=100, k=4, seed=6)
     cfg = PipelineConfig(input_path=str(data), partitions=("all",))
