@@ -11,16 +11,17 @@ Exit codes: 0 success, 1 usage error, 2 data or file error, 3 partial failure
 """
 
 import argparse
+import os
 import sys
 
 from .correlation import CORRELATION_MODES
+from .dataset import _write_text
 from .errors import FeatnetError
 from .pipeline import (
     PARTITION_ORDER,
     GBTParams,
     PipelineConfig,
     _json_text,
-    _write_json,
     export_matrices,
     run_eval,
     run_pipeline,
@@ -107,9 +108,16 @@ def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(**{k: v for k, v in given.items() if k in _CONFIG_FIELDS}, gbt=gbt)
 
 
+def _check_report(path: str | None) -> None:
+    if path is not None and os.path.isdir(path):
+        raise ValueError(f"out_dir (--out) {path!r} is a directory, not a report file")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"out_dir (--out) {path!r} is not in an existing directory")
+
+
 def _write_report(payload: dict, path: str | None) -> None:
     if path is not None:
-        _write_json(path, _json_text(payload))
+        _write_text(path, _json_text(payload))
         print(f"report written to {path}")
 
 
@@ -139,6 +147,7 @@ def _cmd_analyze(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_eval(cfg: PipelineConfig, args) -> int:
+    _check_report(cfg.out_dir)
     comparison = run_eval(cfg)
     print(f"features: {', '.join(comparison.hub_reports[0].subset.names)}")
     print(
@@ -155,6 +164,7 @@ def _cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_stability(cfg: PipelineConfig, args) -> int:
+    _check_report(cfg.out_dir)
     options = {k: v for k, v in vars(args).items() if k in ("n_subsamples", "fraction", "seed")}
     report = stability_check(cfg, **options)
     for name, entry in report["partitions"].items():

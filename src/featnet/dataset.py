@@ -9,6 +9,7 @@ subset are supported.
 import csv
 import inspect
 import io
+import os
 import re
 from enum import Enum
 from pathlib import Path
@@ -142,12 +143,25 @@ def load_dataset(path: str | Path, fmt: str = "auto") -> FeatureTable:
 
 
 def _write_csv(path: str | Path, header: list, rows: Iterable) -> None:
-    """Every CSV that featnet writes: UTF-8, LF line ends, a header row, then
-    ``rows``.  ``csv`` writes each float as its ``repr``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Every CSV that featnet writes, through ``_write_text``: a header row, then
+    ``rows``, LF-ended.  ``csv`` writes each float as its ``repr``."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    _write_text(path, text.getvalue())
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` whole with ``text`` in UTF-8, untranslated (LF stays LF), via a
+    temp file renamed onto it and removed on any failure; an ``OSError`` names ``path``."""
+    tmp = Path(path).parent / f".{Path(path).name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except OSError as exc:  # name the user's path, never the temp file
+        raise exc if exc.filename is None else OSError(exc.errno, exc.strerror, os.fspath(path))
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def partition(table: FeatureTable, sel: Partition) -> FeatureTable:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .dataset import _write_csv
+from .dataset import _write_csv, _write_text
 from .errors import DegenerateDistribution, UncoveredNode
 
 GAMMA_METHODS = ("loglog_ols", "mle")
@@ -262,7 +262,7 @@ def write_dot(
     for u, v, w in zip(tree.src.tolist(), tree.dst.tolist(), tree.weight.tolist()):
         lines.append(f'  {ids[u]} -- {ids[v]} [weight="{w:.6f}"];')
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _dot_id(name: str) -> str:
@@ -314,7 +314,7 @@ def write_graphml(
         out.append("    </edge>")
     out.append("  </graph>")
     out.append("</graphml>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 def write_hubs_csv(hubs: list[dict], path: str | Path) -> None:

@@ -9,7 +9,6 @@ and order-fixed, so rerunning a config reproduces the outputs byte for byte.
 
 import inspect
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import (
-    FeatureTable, Partition, _Checked, class_proportions, load_dataset, partition,
+    FeatureTable, Partition, _Checked, _write_text, class_proportions, load_dataset, partition,
 )
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
@@ -233,9 +232,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             write_graphml(
                 arts.tree, graphml, communities=arts.communities.assignment, hubs=arts.hubs
             )
-            write_degree_distribution_csv(
-                arts.outcome.degree_distribution, dist_csv
-            )
+            write_degree_distribution_csv(arts.outcome.degree_distribution, dist_csv)
 
     manifest = RunManifest(
         schema_version=SCHEMA_VERSION,
@@ -256,25 +253,14 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             if not any(part_dir.iterdir()):
                 part_dir.rmdir()
         out_root.mkdir(parents=True, exist_ok=True)
-        _write_json(out_root / "manifest.json", manifest.to_json())
+        _write_text(out_root / "manifest.json", manifest.to_json())
     return manifest
 
 
 def _json_text(payload: dict) -> str:
-    """The text of every JSON file featnet writes: indented by two, LF-ended."""
+    """The text of every JSON file featnet writes: indented by two, LF-ended;
+    ``dataset._write_text`` replaces the file whole with it, in UTF-8."""
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _write_json(path: str | Path, text: str) -> None:
-    """Replace ``path`` with ``text``, as featnet writes every JSON file: through a
-    temp file renamed onto it, so a reader sees the old file or the new one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:

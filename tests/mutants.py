@@ -48,26 +48,33 @@ MUTANTS = (
     ),
     # a class partition skips the constructor: unchecked and writeable
     Mutant(
-        "partition-skips-constructor", "featnet/dataset.py", 161,
+        "partition-skips-constructor", "featnet/dataset.py", 175,
         "FeatureTable(table.feature_names, table.rows[mask], table.labels[mask])",
         "FeatureTable._make((table.feature_names, table.rows[mask], table.labels[mask]))",
         ("tests/test_dataset.py::test_trusted_slice_equals_validated_slice",),
     ),
     # a stability subsample skips the constructor
     Mutant(
-        "subsample-skips-constructor", "featnet/pipeline.py", 395,
+        "subsample-skips-constructor", "featnet/pipeline.py", 381,
         "FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])",
         "FeatureTable._make((table.feature_names, table.rows[rows], table.labels[rows]))",
         ("tests/test_pipeline.py::test_stability_subsamples_are_checked_tables",),
     ),
-    # every JSON file is written in place: a failed write leaves a partial file
+    # every file, JSON ones too, is written in place: a failed write leaves a partial file
     Mutant(
-        "json-written-without-rename", "featnet/pipeline.py", 275,
-        "os.replace(tmp, path)", 'path.write_text(text, encoding="utf-8")',
+        "json-written-without-rename", "featnet/dataset.py", 159,
+        "os.replace(tmp, path)", 'Path(path).write_text(text, encoding="utf-8")',
         (
             "tests/test_cli.py::test_report_is_replaced_atomically",
             "tests/test_pipeline.py::test_manifest_is_replaced_atomically",
         ),
+    ),
+    # every CSV is written in place, past the temp file and the rename
+    Mutant(
+        "csv-written-in-place", "featnet/dataset.py", 150,
+        "_write_text(path, text.getvalue())",
+        'Path(path).write_text(text.getvalue(), encoding="utf-8", newline="")',
+        ("tests/test_pipeline.py::test_manifest_is_replaced_atomically",),
     ),
     # PCA keeps the smallest eigenvectors
     Mutant(
@@ -77,13 +84,13 @@ MUTANTS = (
     ),
     # a lone CR is left in the body
     Mutant(
-        "loader-normalizes-only-crlf-files", "featnet/dataset.py", 122,
+        "loader-normalizes-only-crlf-files", "featnet/dataset.py", 123,
         'if b"\\r" in data:', 'if b"\\r\\n" in data:',
         ("tests/test_dataset.py::test_csv_line_ends_match_oracle",),
     ),
     # an empty --out is taken as no --out
     Mutant(
-        "empty-out-accepted", "featnet/pipeline.py", 83,
+        "empty-out-accepted", "featnet/pipeline.py", 82,
         'if self.out_dir == "":', "if False:",
         (
             "tests/test_cli.py::test_degenerate_settings_are_data_errors",

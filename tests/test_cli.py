@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from featnet import pipeline as pipeline_module
+from featnet import dataset as dataset_module
 from featnet.cli import _build_parser, _config_from_args, main
 from featnet.evaluation import GBTParams
 from featnet.pipeline import PipelineConfig, stability_check
@@ -332,17 +332,40 @@ def test_report_is_replaced_atomically(tmp_path, capsys, monkeypatch, command, o
     assert report_path.read_bytes() == first
     assert [p.name for p in report_path.parent.iterdir()] == ["report.json"]  # no temp file left
 
-    # a write that fails before the rename leaves the old report whole
+    # a write that fails before the rename leaves the old report whole, and
+    # its error names the report, not the temp file
     def fail(src, dst):
-        raise OSError("disk full")
+        raise PermissionError(13, "Permission denied", src, dst)
 
-    monkeypatch.setattr(pipeline_module.os, "replace", fail)
+    monkeypatch.setattr(dataset_module.os, "replace", fail)
     capsys.readouterr()
     assert main([*argv, "--seed", "1"]) == 2
     out, err = capsys.readouterr()
-    assert err == "error: disk full\n" and "report written" not in out
+    assert err == f"error: [Errno 13] Permission denied: {str(report_path)!r}\n"
+    assert "report written" not in out
     assert report_path.read_bytes() == first
     assert [p.name for p in report_path.parent.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("eval", ["--n-seeds", "1", "--rounds", "1"]), ("stability", ["--n-subsamples", "2"])],
+)
+@pytest.mark.parametrize(
+    "out, problem",
+    [("missing/r.json", "is not in an existing directory"), (".", "is a directory"),
+     ("reports", "is a directory")],
+)
+def test_unwritable_report_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, options, out, problem
+):
+    data = synthetic_csv(tmp_path / "data.csv")
+    (tmp_path / "reports").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--input", str(data), *options, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no fit, no subsample: both print as they finish
+    assert captured.err.startswith(f"error: out_dir (--out) {out!r} {problem}")
 
 
 def test_export_command(tmp_path, capsys):

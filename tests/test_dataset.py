@@ -551,3 +551,14 @@ def test_every_clean_body_takes_the_byte_decoder(tmp_path_factory, doc):
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(lambda: load_lines(path.read_text(encoding="utf-8"), fmt))
     assert _load_noting_bulk(path) == (expected, True)
+
+
+def test_write_text_writes_the_text_bytes_or_names_the_target(tmp_path):
+    path = tmp_path / "out.txt"
+    dataset._write_text(path, "a,\u00e9\r\nb\rc\n")  # no newline translation on any platform
+    assert path.read_bytes() == "a,\u00e9\r\nb\rc\n".encode("utf-8")
+    for target in (str(tmp_path / "missing" / "r.json"), str(tmp_path)):
+        with pytest.raises(OSError) as info:
+            dataset._write_text(target, "x\n")
+        assert repr(target) in str(info.value) and ".tmp" not in str(info.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]  # no temp file left

@@ -16,7 +16,7 @@ from featnet import (
     select_connected_hubs,
     stability_check,
 )
-from featnet import evaluation, pipeline as pipeline_module
+from featnet import dataset as dataset_module, evaluation, pipeline as pipeline_module
 from featnet.evaluation import GBTParams
 from featnet.pipeline import export_matrices
 
@@ -108,25 +108,48 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_manifest_is_replaced_atomically(tmp_path, monkeypatch):
-    data = synthetic_csv(tmp_path / "data.csv")
-    out = tmp_path / "out"
-    cfg = PipelineConfig(input_path=str(data), out_dir=str(out))
-    listing = ["all", "legitimate", "manifest.json", "phishing"]  # no temp file left
-    run_pipeline(cfg)
-    first = (out / "manifest.json").read_bytes()
-    run_pipeline(cfg)
-    assert (out / "manifest.json").read_bytes() == first
-    assert sorted(p.name for p in out.iterdir()) == listing
+    """Every file that export and analyze write, the manifest among them, is
+    replaced whole: a rerun leaves the same bytes and no temp file, and a file
+    whose own rename fails keeps its old bytes, which a run on the other data
+    would change."""
+    old_cfg, new_cfg = (
+        PipelineConfig(input_path=str(synthetic_csv(tmp_path / f"data{k}.csv", k=k, seed=k)),
+                       partitions=("all",), hub_threshold=threshold, out_dir=str(tmp_path / f"out{k}"))
+        for k, threshold in ((4, 2), (6, 0))  # every node is a hub at threshold 0
+    )
+    old, new = Path(old_cfg.out_dir), Path(new_cfg.out_dir)
 
-    # a write that fails before the rename leaves the old manifest whole
-    def fail(src, dst):
-        raise OSError("disk full")
+    def contents():
+        return {p.relative_to(old): p.read_bytes() if p.is_file() else None for p in old.rglob("*")}
 
-    monkeypatch.setattr(pipeline_module.os, "replace", fail)
-    with pytest.raises(OSError):
+    for cfg in (old_cfg, new_cfg):
+        export_matrices(cfg)
         run_pipeline(cfg)
-    assert (out / "manifest.json").read_bytes() == first
-    assert sorted(p.name for p in out.iterdir()) == listing
+    first = contents()
+    export_matrices(old_cfg)
+    run_pipeline(old_cfg)
+    assert contents() == first  # the same bytes, and no temp file left
+
+    export_files = [f"all/{m}.csv" for m in ("correlation", "distance", "similarity")]
+    analyze_files = [f"all/{f}" for f in pipeline_module.ANALYZE_FILES] + ["manifest.json"]
+    new_cfg = new_cfg._replace(out_dir=str(old))
+    replace = dataset_module.os.replace
+    # in the order each run writes them, so every target still holds the old run's bytes
+    for run, files in ((export_matrices, export_files), (run_pipeline, analyze_files)):
+        for name in files:
+            before = (old / name).read_bytes()
+            assert before != (new / name).read_bytes()
+
+            def fail(src, dst, target=old / name):
+                if Path(dst) == target:
+                    raise OSError("disk full")
+                replace(src, dst)
+
+            monkeypatch.setattr(dataset_module.os, "replace", fail)
+            with pytest.raises(OSError, match="disk full"):
+                run(new_cfg)
+            assert (old / name).read_bytes() == before
+            assert contents().keys() == first.keys()  # no temp file left
 
 
 def test_rerun_removes_stale_partition_outputs(tmp_path):
