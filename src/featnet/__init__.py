@@ -14,7 +14,6 @@ from .correlation import (
 from .dataset import (
     FeatureTable,
     Partition,
-    class_proportions,
     load_dataset,
     partition,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "SpanningTree",
     "WeightedGraph",
     "build_graph",
-    "class_proportions",
     "degree_distribution",
     "estimate_gamma",
     "evaluate",

@@ -30,13 +30,6 @@ class CommunityPartition(NamedTuple):
     def n_communities(self) -> int:
         return len(set(self.assignment.tolist()))
 
-    def members(self) -> dict[int, list[str]]:
-        """Community id -> its node names, in node order."""
-        out: dict[int, list[str]] = {}
-        for node, cid in zip(self.nodes, self.assignment.tolist()):
-            out.setdefault(cid, []).append(node)
-        return out
-
 
 def _check_total_weight(two_m: float) -> None:
     """Refuse a total strength 2m whose square, which bounds every strength

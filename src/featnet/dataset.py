@@ -175,15 +175,6 @@ def partition(table: FeatureTable, sel: Partition) -> FeatureTable:
     return FeatureTable(table.feature_names, table.rows[mask], table.labels[mask])
 
 
-def class_proportions(table: FeatureTable) -> dict[int, tuple[int, float]]:
-    """Per-label (count, fraction) over the table rows."""
-    if table.n_rows == 0:
-        raise EmptyPartition("cannot take proportions of an empty table")
-    values, counts = np.unique(table.labels, return_counts=True)
-    total = int(counts.sum())
-    return {int(v): (int(c), int(c) / total) for v, c in zip(values, counts)}
-
-
 def _build_table(names: list[str], matrix: np.ndarray) -> FeatureTable:
     return FeatureTable(tuple(names[:-1]), matrix[:, :-1], matrix[:, -1])
 

@@ -223,7 +223,7 @@ class GradientBoostedTrees:
         lam, mcw = self.params.reg_lambda, self.params.min_child_weight
         keys, width, splittable, level_keys, weights = layout
         d, n = keys.shape
-        max_depth = max(self.params.max_depth, 0) if width > 1 else 0
+        max_depth = self.params.max_depth if width > 1 else 0
         np.copyto(weights.real, gh[0])
         np.copyto(weights.imag, gh[1])
         owner, leaf_values = np.empty(n, dtype=np.intp), np.empty(n)

@@ -4,13 +4,13 @@ A graph is its node names plus three edge arrays: ``src`` and ``dst`` hold
 positions in ``nodes`` and ``weight`` the edge weights.  The spanning tree
 is the same three arrays over the chosen edges, its degrees are one int
 array in node order, and hubs are node positions.  Names are attached only
-where results leave the package: the named ``edges`` of graphs and trees,
-the export writers and the run manifest.  The spanning tree comes from
-Kruskal's algorithm over edges in one sort by descending weight, with an
-integer union-find list for cycle detection.  Within each run of equal
-weights, edges are re-sorted by the (lower, higher) rank of the endpoint
-names in sorted name order, which is the lexicographic (min-name, max-name)
-pair, so repeated runs produce identical trees.
+where results leave the package: in the run manifest and the export
+writers.  The spanning tree comes from Kruskal's algorithm over edges in
+one sort by descending weight, with an integer union-find list for cycle
+detection.  Within each run of equal weights, edges are re-sorted by the
+(lower, higher) rank of the endpoint names in sorted name order, which is
+the lexicographic (min-name, max-name) pair, so repeated runs produce
+identical trees.
 """
 
 import math
@@ -68,17 +68,6 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return len(self.weight)
 
-    @property
-    def edges(self) -> tuple[tuple[str, str, float], ...]:
-        """Named ``(u, v, w)`` triples in edge order."""
-        return _named_edges(self.nodes, self.src, self.dst, self.weight)
-
-
-def _named_edges(nodes, src, dst, weight) -> tuple[tuple[str, str, float], ...]:
-    return tuple(
-        (nodes[i], nodes[j], w) for i, j, w in zip(src.tolist(), dst.tolist(), weight.tolist())
-    )
-
 
 def build_graph(sim: CorrelationMatrix) -> WeightedGraph:
     """Complete graph over the features; edge (i, j) carries sim[i][j]."""
@@ -109,11 +98,6 @@ class SpanningTree(NamedTuple):
     def degree(self) -> np.ndarray:
         """Tree degree of each node, in node order."""
         return np.bincount(np.concatenate((self.src, self.dst)), minlength=len(self.nodes))
-
-    @property
-    def edges(self) -> tuple[tuple[str, str, float], ...]:
-        """Named ``(u, v, w)`` triples in the order Kruskal chose them."""
-        return _named_edges(self.nodes, self.src, self.dst, self.weight)
 
     @property
     def total_weight(self) -> float:

@@ -16,9 +16,7 @@ import numpy as np
 
 from . import __version__, correlation, graph
 from .community import CommunityPartition, louvain, write_communities_csv
-from .dataset import (
-    FeatureTable, Partition, _Checked, _write_text, class_proportions, load_dataset, partition,
-)
+from .dataset import FeatureTable, Partition, _Checked, _write_text, load_dataset, partition
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
 
@@ -48,6 +46,10 @@ class GBTParams(_Checked, _GBTParamsFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.n_rounds < 1:
+            raise ValueError(f"n_rounds (--rounds) must be at least 1, got {self.n_rounds}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth (--max-depth) must be >= 0, got {self.max_depth}")
         if not 0.0 < self.learning_rate < np.inf:  # False for NaN
             raise ValueError(f"learning rate must be positive and finite: {self.learning_rate!r}")
         return self
@@ -88,10 +90,6 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
             raise ValueError(f"need at least 1 evaluation seed (--n-seeds), got {self.eval_n_seeds}")
         if self.eval_seed < 0:
             raise ValueError(f"eval_seed (--seed) must be non-negative, got {self.eval_seed}")
-        if self.gbt.n_rounds < 1:
-            raise ValueError(f"n_rounds (--rounds) must be at least 1, got {self.gbt.n_rounds}")
-        if self.gbt.max_depth < 0:
-            raise ValueError(f"max_depth (--max-depth) must be >= 0, got {self.gbt.max_depth}")
         for field, flag in (("partitions", "--partitions"), ("eval_features", "--features")):
             names = getattr(self, field) or ()
             repeated = [f for i, f in enumerate(names) if f in names[:i]]
@@ -121,18 +119,9 @@ class RunManifest(NamedTuple):
     partitions: list[PartitionOutcome]
     errors: dict
 
-    def to_dict(self) -> dict:
-        """Shallow, as every field already holds JSON-ready values."""
-        return {**self._asdict(), "partitions": [p._asdict() for p in self.partitions]}
-
     def to_json(self) -> str:
-        return _json_text(self.to_dict())
-
-    def outcome(self, name: str) -> PartitionOutcome:
-        for p in self.partitions:
-            if p.partition == name:
-                return p
-        raise KeyError(f"no outcome for partition {name!r}")
+        # shallow, as every field already holds JSON-ready values
+        return _json_text({**self._asdict(), "partitions": [p._asdict() for p in self.partitions]})
 
 
 class PartitionArtifacts(NamedTuple):
@@ -162,6 +151,7 @@ def analyze_partition(
     hubs = graph.find_hubs(tree, threshold=cfg.hub_threshold)
     dist = graph.degree_distribution(tree)
     degree, community = tree.degree.tolist(), communities.assignment.tolist()
+    labels, counts = np.unique(part.labels, return_counts=True)
 
     gamma: dict = {}
     for method in graph.GAMMA_METHODS:
@@ -173,9 +163,7 @@ def analyze_partition(
     outcome = PartitionOutcome(
         partition=name,
         n_rows=part.n_rows,
-        class_counts={
-            str(label): count for label, (count, _) in sorted(class_proportions(part).items())
-        },
+        class_counts=dict(zip(map(str, labels.tolist()), counts.tolist())),
         warnings=[list(w) for w in corr.warnings],
         tree={
             "n_nodes": len(tree.nodes),

@@ -24,25 +24,25 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # _settle returns a node that its visit does not move
     Mutant(
-        "settle-mover-includes-zero-gain", "featnet/community.py", 243,
+        "settle-mover-includes-zero-gain", "featnet/community.py", 236,
         "row[gain > DEFAULT_MIN_GAIN]", "row[gain >= 0.0]",
         ("tests/test_community.py::test_local_moves_equal_split_oracle",),
     ),
     # _settle misses a mover
     Mutant(
-        "settle-mover-needs-large-gain", "featnet/community.py", 243,
+        "settle-mover-needs-large-gain", "featnet/community.py", 236,
         "row[gain > DEFAULT_MIN_GAIN]", "row[gain > 1e-3]",
         ("tests/test_community.py::test_local_moves_equal_split_oracle",),
     ),
     # a sweep runs on past a stay that rounds its own community's total
     Mutant(
-        "settle-no-sweep-end", "featnet/community.py", 231,
+        "settle-no-sweep-end", "featnet/community.py", 224,
         "if len(drift):", "if False:",
         ("tests/test_community.py::test_settle_equals_node_by_node_visits",),
     ),
     # a sweep in which no node moves leaves the rounded total unwritten
     Mutant(
-        "settle-no-write-back", "featnet/community.py", 246,
+        "settle-no-write-back", "featnet/community.py", 239,
         "comm_total[ids[own[-1]]] = during[-1] + s[-1]", "pass",
         ("tests/test_community.py::test_settle_equals_node_by_node_visits",),
     ),
@@ -55,7 +55,7 @@ MUTANTS = (
     ),
     # a stability subsample skips the constructor
     Mutant(
-        "subsample-skips-constructor", "featnet/pipeline.py", 381,
+        "subsample-skips-constructor", "featnet/pipeline.py", 369,
         "FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])",
         "FeatureTable._make((table.feature_names, table.rows[rows], table.labels[rows]))",
         ("tests/test_pipeline.py::test_stability_subsamples_are_checked_tables",),
@@ -88,9 +88,26 @@ MUTANTS = (
         'if b"\\r" in data:', 'if b"\\r\\n" in data:',
         ("tests/test_dataset.py::test_csv_line_ends_match_oracle",),
     ),
+    # boosting settings that fit a constant model are accepted
+    Mutant(
+        "gbt-params-accept-zero-rounds", "featnet/pipeline.py", 49,
+        "if self.n_rounds < 1:", "if False:",
+        (
+            "tests/test_api.py::test_replace_runs_the_constructor_checks",
+            "tests/test_cli.py::test_degenerate_settings_are_data_errors",
+        ),
+    ),
+    Mutant(
+        "gbt-params-accept-negative-depth", "featnet/pipeline.py", 51,
+        "if self.max_depth < 0:", "if False:",
+        (
+            "tests/test_api.py::test_replace_runs_the_constructor_checks",
+            "tests/test_cli.py::test_degenerate_settings_are_data_errors",
+        ),
+    ),
     # an empty --out is taken as no --out
     Mutant(
-        "empty-out-accepted", "featnet/pipeline.py", 82,
+        "empty-out-accepted", "featnet/pipeline.py", 84,
         'if self.out_dir == "":', "if False:",
         (
             "tests/test_cli.py::test_degenerate_settings_are_data_errors",

@@ -328,6 +328,15 @@ def gbt_blocked_walk(model, data, block=16):
     return (1.0 / (1.0 + np.exp(-np.clip(margin, -500.0, 500.0))))[inverse.reshape(-1)]
 
 
+def named_edges(g):
+    """The ``(u, v, w)`` name triples of a featnet graph or spanning tree,
+    in the order of its ``src``/``dst``/``weight`` arrays."""
+    return tuple(
+        (g.nodes[i], g.nodes[j], w)
+        for i, j, w in zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+    )
+
+
 class DictGraph:
     """The dict-of-dicts weighted graph the package used before edge arrays."""
 

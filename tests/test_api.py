@@ -27,7 +27,6 @@ PUBLIC_API = [
     "SpanningTree",
     "WeightedGraph",
     "build_graph",
-    "class_proportions",
     "degree_distribution",
     "estimate_gamma",
     "evaluate",
@@ -51,7 +50,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     # a change to the public API must show up as a change to this list
     assert featnet.__all__ == PUBLIC_API
-    assert len(PUBLIC_API) == 34
+    assert len(PUBLIC_API) == 33
 
 
 def test_public_names_resolve():
@@ -141,6 +140,8 @@ def test_record_is_a_read_only_tuple(records, name):
         ("FeatureTable", lambda t: {"feature_names": t.feature_names[:-1]}),
         ("FeatureTable", lambda t: {"labels": np.where(t.labels == 1, 2, -1)}),
         ("GBTParams", lambda p: {"learning_rate": float("nan")}),
+        pytest.param("GBTParams", lambda p: {"max_depth": -3}, id="GBTParams-max_depth"),
+        pytest.param("GBTParams", lambda p: {"n_rounds": 0}, id="GBTParams-n_rounds"),
         ("PipelineConfig", lambda c: {"eval_n_seeds": 0}),
         ("PipelineConfig", lambda c: {"partitions": ("all", "none")}),
     ],

@@ -66,7 +66,7 @@ def test_only_eval_imports_the_evaluation_module(tmp_path):
     assert checks == [
         "check [False, False, False, False]",
         "check GradientBoostedTrees evaluate",
-        "check [] 34",
+        "check [] 33",
     ]
 
 
@@ -474,6 +474,14 @@ def test_degenerate_settings_are_data_errors(tmp_path, capsys, monkeypatch, argv
     assert main([argv[0], "--input", str(data), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "export", "stability"])
+def test_one_feature_table_is_a_data_error(tmp_path, capsys, command):
+    data = tmp_path / "one.csv"
+    data.write_text("a,Result\n1,1\n-1,-1\n0,1\n-1,1\n")
+    assert main([command, "--input", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: need at least 2 features to correlate, got 1\n"
 
 
 def test_every_option_given_an_empty_string_fails_cleanly(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from featnet.errors import FeatnetError, UncoveredNode
 
 from .oracles import (
     best_partition_exhaustive, local_moves_split, modularity_masks, modularity_matrix_form,
+    named_edges,
 )
 
 
@@ -66,7 +67,7 @@ def test_modularity_matches_matrix_oracle():
         assignment = rng.integers(0, 3, size=g.n_nodes)
         named = dict(zip(g.nodes, assignment.tolist()))
         assert modularity(g, assignment) == pytest.approx(
-            modularity_matrix_form(g.nodes, g.edges, named), abs=1e-12
+            modularity_matrix_form(g.nodes, named_edges(g), named), abs=1e-12
         )
 
 
@@ -160,11 +161,11 @@ def test_two_nodes_merge():
 
 def test_weak_triangles_split():
     part = louvain(two_weak_triangles())
-    groups = part.members()
-    assert len(groups) == 2
-    assert sorted(map(sorted, groups.values())) == [["a", "b", "c"], ["d", "e", "f"]]
+    ids = part.assignment.tolist()
+    groups = sorted([x for x, c in zip(part.nodes, ids) if c == cid] for cid in set(ids))
+    assert groups == [["a", "b", "c"], ["d", "e", "f"]]
     best_q, _ = best_partition_exhaustive(
-        two_weak_triangles().nodes, two_weak_triangles().edges
+        two_weak_triangles().nodes, named_edges(two_weak_triangles())
     )
     assert part.modularity == pytest.approx(best_q, abs=1e-9)
 
@@ -220,7 +221,7 @@ def test_deterministic_across_runs():
 def test_invariant_under_weight_scaling(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, int(rng.integers(2, 9)))
-    scaled = WeightedGraph(g.nodes, [(u, v, 10.0 * w) for u, v, w in g.edges])
+    scaled = WeightedGraph(g.nodes, [(u, v, 10.0 * w) for u, v, w in named_edges(g)])
     part = louvain(g)
     part_scaled = louvain(scaled)
     assert part.assignment.tolist() == part_scaled.assignment.tolist()
@@ -232,8 +233,14 @@ def test_near_optimal_on_small_graphs():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(3, 9)))
         part = louvain(g)
-        best_q, _ = best_partition_exhaustive(g.nodes, g.edges)
+        best_q, _ = best_partition_exhaustive(g.nodes, named_edges(g))
         assert part.modularity >= best_q - 0.05
+
+
+def test_empty_graph_rejected():
+    with pytest.raises(ValueError) as err:
+        louvain(WeightedGraph([], []))
+    assert str(err.value) == "cannot detect communities in an empty graph"
 
 
 def test_zero_weight_graph():
@@ -280,7 +287,7 @@ def test_local_move_gain_formula_is_exact():
         comm = {x: int(rng.integers(0, 3)) for x in g.nodes}
         u = g.nodes[int(rng.integers(0, len(g.nodes)))]
         adjacency: dict[str, dict[str, float]] = {x: {} for x in g.nodes}
-        for a, b, w in g.edges:
+        for a, b, w in named_edges(g):
             adjacency[a][b] = adjacency[b][a] = w
         neighbor_comms = sorted({comm[v] for v in adjacency[u]})
         if not neighbor_comms:

@@ -228,6 +228,23 @@ def test_degenerate_column_warns_and_stays():
         assert (derived.feature_names, derived.warnings) == (m.feature_names, m.warnings)
 
 
+@pytest.mark.parametrize(
+    "columns, mode, message",
+    [
+        (
+            {"x": [1, -1], "y": [-1, 1]},
+            "pearson",
+            "mode must be one of ('tie_aware', 'literal_formula'), got 'pearson'",
+        ),
+        ({"x": [1, -1, 0]}, "tie_aware", "need at least 2 features to correlate, got 1"),
+    ],
+)
+def test_spearman_rejects_an_unknown_mode_and_one_feature(columns, mode, message):
+    with pytest.raises(ValueError) as err:
+        spearman_matrix(make_table(columns), mode=mode)
+    assert str(err.value) == message
+
+
 def test_too_few_rows():
     table = make_table({"x": [1], "y": [-1]})
     with pytest.raises(TooFewRows):

@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 from featnet import (
     FeatureTable,
     Partition,
-    class_proportions,
+    PipelineConfig,
     load_dataset,
     partition,
 )
 from featnet import dataset
 from featnet.errors import DomainError, EmptyPartition, ParseError, SchemaError
+from featnet.pipeline import PARTITION_ORDER, analyze_partition
 
+from .conftest import REFERENCE_ARFF
 from .oracles import load_lines
 
 
@@ -26,6 +28,29 @@ def test_reference_partitions(reference_table):
     assert partition(reference_table, Partition.LEGITIMATE).n_rows == 6157
     assert partition(reference_table, Partition.PHISHING).n_rows == 4898
     assert partition(reference_table, Partition.ALL) is reference_table
+
+
+def class_counts(table, name="all"):
+    # the manifest's class_counts: labels as strings in ascending order, counts as ints
+    cfg = PipelineConfig(input_path=str(REFERENCE_ARFF))
+    return analyze_partition(table, cfg, name).outcome.class_counts
+
+
+def test_reference_proportions(reference_table):
+    counts = {name: class_counts(reference_table, name) for name in PARTITION_ORDER}
+    assert counts == {
+        "all": {"-1": 4898, "1": 6157},
+        "legitimate": {"1": 6157},
+        "phishing": {"-1": 4898},
+    }
+    assert list(counts["all"]) == ["-1", "1"]
+    assert all(type(c) is int for c in counts["all"].values())
+
+
+def test_balanced_toy_proportions(toy_table):
+    assert class_counts(toy_table) == {"-1": 2, "1": 2}
+    one_class = toy_table._replace(labels=np.ones(4, dtype=int))
+    assert class_counts(one_class) == {"1": 4}
 
 
 def test_partition_keeps_features(reference_table):
@@ -64,14 +89,6 @@ def test_trusted_slice_equals_validated_slice(reference_table, select, tag):
             ours[0] = 1
 
 
-def test_reference_proportions(reference_table):
-    props = class_proportions(reference_table)
-    assert props[-1][0] == 4898
-    assert props[1][0] == 6157
-    assert props[-1][1] == pytest.approx(4898 / 11055, abs=1e-12)
-    assert abs(sum(f for _, f in props.values()) - 1.0) < 1e-12
-
-
 def load_csv_text(tmp_path, text):
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8")
@@ -82,12 +99,7 @@ def test_single_row_csv(tmp_path):
     table = load_csv_text(tmp_path, "a,b,Result\n1,-1,1\n")
     assert table.n_rows == 1
     assert table.feature_names == ("a", "b")
-    assert class_proportions(table) == {1: (1, 1.0)}
-
-
-def test_balanced_toy_proportions(toy_table):
-    props = class_proportions(toy_table)
-    assert props == {-1: (2, 0.5), 1: (2, 0.5)}
+    assert table.labels.tolist() == [1]
 
 
 OUT_OF_RANGE = (-2, 2, -9223372036854775808)
@@ -194,6 +206,35 @@ def test_arff_numeric_attribute_rejected(tmp_path):
     path.write_text("@attribute a numeric\n@data\n1\n")
     with pytest.raises(ParseError):
         load_dataset(path)
+
+
+def test_arff_attribute_without_a_name_rejected(tmp_path):
+    path = tmp_path / "unnamed.arff"
+    path.write_text("@attribute a {-1,1}\n@attribute {-1,1}\n@data\n1,1\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert str(err.value) == "line 2: attribute without a name"
+
+
+def test_unknown_format_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,Result\n1,1\n")
+    with pytest.raises(ValueError) as err:
+        load_dataset(path, fmt="xml")
+    assert str(err.value) == "unknown format 'xml'"
+
+
+@pytest.mark.parametrize(
+    "names, rows, labels, message",
+    [
+        ((), np.zeros((2, 0), dtype=int), [1, -1], "table has no feature columns"),
+        (("a",), [[1], [0]], [1], "1 labels for 2 rows"),
+    ],
+)
+def test_constructor_rejects_a_table_of_the_wrong_shape(names, rows, labels, message):
+    with pytest.raises(SchemaError) as err:
+        FeatureTable(names, rows, labels)
+    assert str(err.value) == message
 
 
 def test_auto_format_sniffs_content(tmp_path):

@@ -45,6 +45,20 @@ def test_rank_deficient_raises():
         PowerIterationPCA(n_components=2).fit(X)
 
 
+@pytest.mark.parametrize(
+    "use, message",
+    [
+        (lambda: PowerIterationPCA(1).transform(np.zeros((3, 2))), "PCA is not fitted"),
+        (lambda: PowerIterationPCA(1).fit(np.zeros((1, 2))), "need at least 2 rows to fit PCA"),
+        (lambda: PowerIterationPCA(3).fit(np.eye(4, 2)), "n_components must be in [1, 2], got 3"),
+    ],
+)
+def test_pca_misuse_rejected(use, message):
+    with pytest.raises(ValueError) as err:
+        use()
+    assert str(err.value) == message
+
+
 def test_matches_eigh_oracle(reference_table):
     rng = np.random.default_rng(0)
     random = rng.normal(size=(60, 3)) @ np.diag([3.0, 1.0, 0.4])
@@ -157,6 +171,31 @@ def test_probabilities_in_unit_interval():
     y = (X[:, 0] > 0).astype(float)
     p = GradientBoostedTrees(GBTParams(n_rounds=10)).fit(X, y).predict_proba(X)
     assert ((p >= 0) & (p <= 1)).all()
+
+
+@pytest.mark.parametrize(
+    "use, message",
+    [
+        (
+            lambda: GradientBoostedTrees().fit(np.zeros((4, 1)), np.zeros(3)),
+            "shape mismatch: X (4, 1), y (3,)",
+        ),
+        (
+            lambda: GradientBoostedTrees().predict_proba(np.zeros((2, 1))),
+            "classifier is not fitted",
+        ),
+    ],
+)
+def test_classifier_misuse_rejected(use, message):
+    with pytest.raises(ValueError) as err:
+        use()
+    assert str(err.value) == message
+
+
+def test_evaluate_rejects_an_unknown_subset_mode(toy_table):
+    with pytest.raises(ValueError) as err:
+        evaluate(toy_table, FeatureSubsetSpec(mode="xml"), split=(0.5, 0))
+    assert str(err.value) == "unknown subset mode 'xml'"
 
 
 def test_rejects_non_binary_labels():
@@ -334,7 +373,7 @@ def gbt_problems(draw):
     params = GBTParams(
         n_rounds=draw(st.integers(1, 4)),
         learning_rate=draw(st.sampled_from([0.1, 0.7])),
-        max_depth=draw(st.integers(-1, 5)),
+        max_depth=draw(st.integers(0, 5)),
         reg_lambda=draw(st.sampled_from([0.0, 0.3, 1.0])),
         min_child_weight=draw(st.sampled_from([0.0, 0.05, 1.0, 1e9])),
         n_bins=draw(st.sampled_from([2, 3, 256])),
@@ -356,7 +395,7 @@ def _many_rounds_problem():
 @example(_many_rounds_problem())
 def test_gbt_equals_recursive_oracle_bitwise(problem):
     # no columns, constant and duplicated columns, ties in gain across
-    # features, quantile bins, depth -1 to 5, a min_child_weight that blocks
+    # features, quantile bins, depth 0 to 5, a min_child_weight that blocks
     # every split, n = 2; reg_lambda = min_child_weight = 0 yields 0/0 gains
     # on empty bins
     X, y, x_test, params = problem

@@ -31,6 +31,7 @@ from .oracles import (
     kruskal_dict,
     louvain_dict,
     modularity_dict,
+    named_edges,
 )
 
 
@@ -68,13 +69,13 @@ def test_build_graph_is_complete_30():
 
 def test_build_graph_two_features():
     g = build_graph(sim_matrix(np.array([[1.0, 0.3], [0.3, 1.0]])))
-    assert g.edges == (("f0", "f1", 0.3),)
+    assert named_edges(g) == (("f0", "f1", 0.3),)
 
 
 def test_build_graph_triangle_of_ones():
     g = build_graph(sim_matrix(np.ones((3, 3))))
     assert g.n_edges == 3
-    assert all(w == 1.0 for _, _, w in g.edges)
+    assert all(w == 1.0 for _, _, w in named_edges(g))
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -82,6 +83,26 @@ def test_graph_rejects_self_loops_and_duplicates():
         WeightedGraph(["a"], [("a", "a", 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph(["a", "b"], [("a", "b", 1.0), ("b", "a", 0.5)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: build_graph(sim_matrix(np.ones((1, 1)))),
+            "need at least 2 features to build a graph",
+        ),
+        (lambda: WeightedGraph(["a", "a"], []), "duplicate node names"),
+        (
+            lambda: WeightedGraph(["a", "b"], [("a", "c", 1.0)]),
+            "edge ('a', 'c') references unknown node",
+        ),
+    ],
+)
+def test_graph_rejects_too_few_or_ambiguous_nodes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -99,7 +120,7 @@ def test_mst_triangle():
         ["A", "B", "C"], [("A", "B", 0.9), ("B", "C", 0.8), ("A", "C", 0.5)]
     )
     tree = maximum_spanning_tree(g)
-    assert edge_set(tree.edges) == {("A", "B"), ("B", "C")}
+    assert edge_set(named_edges(tree)) == {("A", "B"), ("B", "C")}
     assert tree.total_weight == pytest.approx(1.7)
     assert tree.provably_unique
 
@@ -107,7 +128,7 @@ def test_mst_triangle():
 def test_mst_two_nodes():
     g = WeightedGraph(["A", "B"], [("A", "B", 0.4)])
     tree = maximum_spanning_tree(g)
-    assert edge_set(tree.edges) == {("A", "B")}
+    assert edge_set(named_edges(tree)) == {("A", "B")}
 
 
 def test_mst_matches_exhaustive_enumeration():
@@ -117,10 +138,10 @@ def test_mst_matches_exhaustive_enumeration():
         g = random_complete_graph(rng, n)
         tree = maximum_spanning_tree(g)
         best_total, best_edges = best_spanning_tree_exhaustive(
-            g.nodes, list(g.edges), maximize=True
+            g.nodes, list(named_edges(g)), maximize=True
         )
         assert tree.total_weight == pytest.approx(best_total, abs=1e-12)
-        assert edge_set(tree.edges) == edge_set(best_edges)
+        assert edge_set(named_edges(tree)) == edge_set(best_edges)
 
 
 def test_mst_matches_networkx():
@@ -128,10 +149,10 @@ def test_mst_matches_networkx():
     g = random_complete_graph(rng, 12)
     tree = maximum_spanning_tree(g)
     nxg = nx.Graph()
-    for u, v, w in g.edges:
+    for u, v, w in named_edges(g):
         nxg.add_edge(u, v, weight=w)
     nx_tree = nx.maximum_spanning_tree(nxg)
-    assert edge_set(tree.edges) == {tuple(sorted(e)) for e in nx_tree.edges}
+    assert edge_set(named_edges(tree)) == {tuple(sorted(e)) for e in nx_tree.edges}
 
 
 def test_mst_invariant_under_increasing_transform():
@@ -139,10 +160,10 @@ def test_mst_invariant_under_increasing_transform():
     for _ in range(10):
         g = random_complete_graph(rng, 6)
         squared = WeightedGraph(
-            g.nodes, [(u, v, w * w) for u, v, w in g.edges]
+            g.nodes, [(u, v, w * w) for u, v, w in named_edges(g)]
         )
-        assert edge_set(maximum_spanning_tree(g).edges) == edge_set(
-            maximum_spanning_tree(squared).edges
+        assert edge_set(named_edges(maximum_spanning_tree(g))) == edge_set(
+            named_edges(maximum_spanning_tree(squared))
         )
 
 
@@ -153,7 +174,7 @@ def test_mst_tie_detection():
     tree = maximum_spanning_tree(g)
     assert not tree.provably_unique
     # deterministic despite the tie: lexicographically first pair wins
-    assert edge_set(tree.edges) == {("A", "B"), ("B", "C")}
+    assert edge_set(named_edges(tree)) == {("A", "B"), ("B", "C")}
 
 
 def test_mst_disconnected_rejected():
@@ -167,7 +188,7 @@ def test_degree_sum_formula(n, seed):
     rng = np.random.default_rng(seed)
     g = random_complete_graph(rng, n, distinct=False)
     tree = maximum_spanning_tree(g)
-    assert len(tree.edges) == n - 1
+    assert len(named_edges(tree)) == n - 1
     assert tree.degree.sum() == 2 * (n - 1)
 
 
@@ -204,7 +225,7 @@ def outcome(fn, *args):
 
 def named_tree(t):
     """A spanning tree in the dict oracle's form, degrees keyed by name."""
-    return t.edges, dict(zip(t.nodes, t.degree.tolist())), t.total_weight, t.provably_unique
+    return named_edges(t), dict(zip(t.nodes, t.degree.tolist())), t.total_weight, t.provably_unique
 
 
 def named_partition(part):
@@ -221,7 +242,7 @@ def test_index_graph_equals_dict_oracle(graph, community_ids):
     # tree edges in order, degrees, float sums, tie flags, Q and Louvain
     nodes, edges = graph
     g, oracle = WeightedGraph(nodes, edges), DictGraph(nodes, edges)
-    assert g.edges == oracle.edges
+    assert named_edges(g) == oracle.edges
 
     def tree_of(h):
         return named_tree(maximum_spanning_tree(h))
@@ -257,7 +278,7 @@ def test_build_graph_equals_dict_oracle(k, seed):
     g = build_graph(CorrelationMatrix(feature_names=names, values=values))
     pairs = zip(*np.triu_indices(k, 1))
     oracle = DictGraph(names, [(names[i], names[j], values[i, j]) for i, j in pairs])
-    assert g.edges == oracle.edges
+    assert named_edges(g) == oracle.edges
     tree = maximum_spanning_tree(g)
     assert named_tree(tree) == kruskal_dict(oracle)
     assert named_partition(louvain(g)) == louvain_dict(oracle)
@@ -286,7 +307,7 @@ def latent_group_table(seed, k, n=400, groups=10):
 def test_louvain_equals_dict_oracle_on_reference(reference_table, sel):
     g = similarity_graph(partition(reference_table, sel))
     part = louvain(g)
-    oracle = DictGraph(g.nodes, g.edges)
+    oracle = DictGraph(g.nodes, named_edges(g))
     assert named_partition(part) == louvain_dict(oracle)
 
 
@@ -296,7 +317,7 @@ def test_louvain_equals_dict_oracle_on_latent_groups(k, levels):
     # several levels with self-loops on the super-nodes
     g = similarity_graph(latent_group_table(0, k))
     part = louvain(g)
-    oracle = DictGraph(g.nodes, g.edges)
+    oracle = DictGraph(g.nodes, named_edges(g))
     assert part.levels == levels
     assert named_partition(part) == louvain_dict(oracle)
 
@@ -312,7 +333,7 @@ def test_k300_tree_and_louvain_equal_dict_oracles(constant_column):
         rows[:, constant_column] = 0
         table = FeatureTable(table.feature_names, rows, table.labels)
     g = similarity_graph(table)
-    oracle = DictGraph(g.nodes, g.edges)
+    oracle = DictGraph(g.nodes, named_edges(g))
     tree = maximum_spanning_tree(g)
     assert tree.provably_unique is (constant_column is None)
     assert named_tree(tree) == kruskal_dict(oracle)
@@ -323,7 +344,7 @@ def test_louvain_equals_dict_oracle_on_wide_sized_table():
     # 300 features x 1,000 rows from 10 factors, as in the wide benchmark: the
     # first pass moves most nodes and later passes are settled in sweeps
     g = similarity_graph(partition(latent_group_table(7, 300, n=1000), Partition.ALL))
-    assert named_partition(louvain(g)) == louvain_dict(DictGraph(g.nodes, g.edges))
+    assert named_partition(louvain(g)) == louvain_dict(DictGraph(g.nodes, named_edges(g)))
 
 
 # --- degrees and hubs --------------------------------------------------------

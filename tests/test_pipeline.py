@@ -18,7 +18,7 @@ from featnet import (
 )
 from featnet import dataset as dataset_module, evaluation, pipeline as pipeline_module
 from featnet.evaluation import GBTParams
-from featnet.pipeline import export_matrices
+from featnet.pipeline import analyze_partition, export_matrices
 
 from .conftest import REFERENCE_ARFF
 
@@ -73,7 +73,7 @@ def test_run_pipeline_outputs(tmp_path):
             assert (out / name / filename).exists()
     assert (out / "manifest.json").exists()
 
-    outcome = manifest.outcome("all")
+    outcome = {p.partition: p for p in manifest.partitions}["all"]
     assert outcome.n_rows == 60
     assert outcome.tree["n_edges"] == outcome.tree["n_nodes"] - 1
     assert sum(c for _, c, _ in outcome.degree_distribution) == outcome.tree["n_nodes"]
@@ -82,8 +82,8 @@ def test_run_pipeline_outputs(tmp_path):
 def test_two_feature_dataset_degenerate_gamma(tmp_path):
     data = synthetic_csv(tmp_path / "tiny.csv", n=30, k=2)
     cfg = PipelineConfig(input_path=str(data), partitions=("all",))
-    manifest = run_pipeline(cfg)
-    outcome = manifest.outcome("all")
+    [outcome] = run_pipeline(cfg).partitions
+    assert outcome.partition == "all"
     assert outcome.tree["n_edges"] == 1  # the MST of 2 nodes is its one edge
     assert outcome.hubs == []
     assert "error" in outcome.gamma["loglog_ols"]
@@ -380,10 +380,16 @@ def test_export_matrices(tmp_path):
             assert (out / name / f"{matrix}.csv").exists()
 
 
+def test_export_requires_an_output_directory():
+    with pytest.raises(ValueError) as err:
+        export_matrices(PipelineConfig(input_path=str(REFERENCE_ARFF)))
+    assert str(err.value) == "export requires an output directory"
+
+
 def test_reference_manifest_smoke():
     cfg = PipelineConfig(input_path=str(REFERENCE_ARFF), partitions=("all",))
-    manifest = run_pipeline(cfg)
-    outcome = manifest.outcome("all")
+    [outcome] = run_pipeline(cfg).partitions
+    assert outcome.partition == "all"
     assert outcome.n_rows == 11055
     assert outcome.tree["n_nodes"] == 30
     assert outcome.tree["n_edges"] == 29
