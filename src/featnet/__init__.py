@@ -28,7 +28,6 @@ from .graph import (
     maximum_spanning_tree,
 )
 from .pipeline import (
-    EvalComparison,
     GBTParams,
     PipelineConfig,
     RunManifest,
@@ -53,7 +52,6 @@ def __getattr__(name):
 __all__ = [
     "CommunityPartition",
     "CorrelationMatrix",
-    "EvalComparison",
     "EvalReport",
     "FeatureSubsetSpec",
     "FeatureTable",

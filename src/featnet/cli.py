@@ -148,18 +148,19 @@ def _cmd_analyze(cfg: PipelineConfig, args) -> int:
 
 def _cmd_eval(cfg: PipelineConfig, args) -> int:
     _check_report(cfg.out_dir)
-    comparison = run_eval(cfg)
-    print(f"features: {', '.join(comparison.hub_reports[0].subset.names)}")
+    report = run_eval(cfg)
+    hub, pca = report["hub"], report["pca"]
+    print(f"features: {', '.join(hub['reports'][0]['subset']['features'])}")
     print(
-        f"hub features : mean accuracy {comparison.hub_mean:.4f} "
-        f"(std {comparison.hub_std:.4f}, {len(comparison.hub_reports)} seeds)"
+        f"hub features : mean accuracy {hub['mean_accuracy']:.4f} "
+        f"(std {hub['std_accuracy']:.4f}, {len(hub['reports'])} seeds)"
     )
     print(
-        f"pca baseline : mean accuracy {comparison.pca_mean:.4f} "
-        f"(std {comparison.pca_std:.4f}, {cfg.eval_pca_components} components)"
+        f"pca baseline : mean accuracy {pca['mean_accuracy']:.4f} "
+        f"(std {pca['std_accuracy']:.4f}, {cfg.eval_pca_components} components)"
     )
-    print(f"delta        : {comparison.delta:+.4f}")
-    _write_report(comparison.to_dict(), cfg.out_dir)
+    print(f"delta        : {report['delta']:+.4f}")
+    _write_report(report, cfg.out_dir)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ and order-fixed, so rerunning a config reproduces the outputs byte for byte.
 import inspect
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .community import CommunityPartition, louvain, write_communities_csv
 from .dataset import FeatureTable, Partition, _Checked, _write_text, load_dataset, partition
 from .errors import DegenerateDistribution, FeatnetError
 from .graph import SpanningTree, write_degree_distribution_csv, write_dot, write_graphml, write_hubs_csv
-
-if TYPE_CHECKING:  # run_eval imports evaluation when it runs
-    from .evaluation import EvalReport
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +48,9 @@ class GBTParams(_Checked, _GBTParamsFields):
         if self.max_depth < 0:
             raise ValueError(f"max_depth (--max-depth) must be >= 0, got {self.max_depth}")
         if not 0.0 < self.learning_rate < np.inf:  # False for NaN
-            raise ValueError(f"learning rate must be positive and finite: {self.learning_rate!r}")
+            raise ValueError(
+                f"learning_rate (--learning-rate) must be positive and finite, got {self.learning_rate}"
+            )
         return self
 
 
@@ -269,36 +268,14 @@ def select_connected_hubs(tree: SpanningTree, threshold: int = 2) -> list[str]:
     return sorted(names[i] for i in np.flatnonzero(top)) + sorted(names[i] for i in attached)
 
 
-class EvalComparison(NamedTuple):
-    hub_reports: tuple["EvalReport", ...]
-    pca_reports: tuple["EvalReport", ...]
-    hub_mean: float
-    pca_mean: float
-    hub_std: float
-    pca_std: float
-    delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "hub": {
-                "mean_accuracy": self.hub_mean,
-                "std_accuracy": self.hub_std,
-                "reports": [r.to_dict() for r in self.hub_reports],
-            },
-            "pca": {
-                "mean_accuracy": self.pca_mean,
-                "std_accuracy": self.pca_std,
-                "reports": [r.to_dict() for r in self.pca_reports],
-            },
-            "delta": self.delta,
-        }
-
-
-def run_eval(cfg: PipelineConfig) -> EvalComparison:
+def run_eval(cfg: PipelineConfig) -> dict:
     """Compare hub-feature accuracy against a PCA baseline over seed sweeps.
 
     The hub features are the config's eval_features or, when it is None,
     the connected-hub selection computed from the all-websites tree.
+    Returns the report ``eval --out`` writes: for the "hub" arm, then the
+    "pca" arm, the mean and population std of its accuracies and each
+    seed's ``EvalReport.to_dict()``; then ``delta``, hub mean minus PCA mean.
     """
     from .evaluation import FeatureSubsetSpec, evaluate  # only eval loads the classifier
 
@@ -315,28 +292,21 @@ def run_eval(cfg: PipelineConfig) -> EvalComparison:
             f"got {cfg.eval_pca_components}"
         )
 
-    seeds = [cfg.eval_seed + i for i in range(cfg.eval_n_seeds)]
-    hub_subset = FeatureSubsetSpec.named(features)
-    pca_subset = FeatureSubsetSpec.pca(cfg.eval_pca_components)
-    hub_reports = tuple(
-        evaluate(table, hub_subset, split=(cfg.train_fraction, s), params=cfg.gbt)
-        for s in seeds
-    )
-    pca_reports = tuple(
-        evaluate(table, pca_subset, split=(cfg.train_fraction, s), params=cfg.gbt)
-        for s in seeds
-    )
-    hub_accs = np.array([r.accuracy for r in hub_reports])
-    pca_accs = np.array([r.accuracy for r in pca_reports])
-    return EvalComparison(
-        hub_reports=hub_reports,
-        pca_reports=pca_reports,
-        hub_mean=float(hub_accs.mean()),
-        pca_mean=float(pca_accs.mean()),
-        hub_std=float(hub_accs.std()),
-        pca_std=float(pca_accs.std()),
-        delta=float(hub_accs.mean() - pca_accs.mean()),
-    )
+    report: dict = {}
+    hub, pca = FeatureSubsetSpec.named(features), FeatureSubsetSpec.pca(cfg.eval_pca_components)
+    for arm, subset in (("hub", hub), ("pca", pca)):
+        reports = [
+            evaluate(table, subset, split=(cfg.train_fraction, cfg.eval_seed + i), params=cfg.gbt)
+            for i in range(cfg.eval_n_seeds)
+        ]
+        accs = np.array([r.accuracy for r in reports])
+        report[arm] = {
+            "mean_accuracy": float(accs.mean()),
+            "std_accuracy": float(accs.std()),
+            "reports": [r.to_dict() for r in reports],
+        }
+    report["delta"] = report["hub"]["mean_accuracy"] - report["pca"]["mean_accuracy"]
+    return report
 
 
 def stability_check(

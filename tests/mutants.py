@@ -55,7 +55,7 @@ MUTANTS = (
     ),
     # a stability subsample skips the constructor
     Mutant(
-        "subsample-skips-constructor", "featnet/pipeline.py", 369,
+        "subsample-skips-constructor", "featnet/pipeline.py", 339,
         "FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])",
         "FeatureTable._make((table.feature_names, table.rows[rows], table.labels[rows]))",
         ("tests/test_pipeline.py::test_stability_subsamples_are_checked_tables",),
@@ -90,7 +90,7 @@ MUTANTS = (
     ),
     # boosting settings that fit a constant model are accepted
     Mutant(
-        "gbt-params-accept-zero-rounds", "featnet/pipeline.py", 49,
+        "gbt-params-accept-zero-rounds", "featnet/pipeline.py", 46,
         "if self.n_rounds < 1:", "if False:",
         (
             "tests/test_api.py::test_replace_runs_the_constructor_checks",
@@ -98,7 +98,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "gbt-params-accept-negative-depth", "featnet/pipeline.py", 51,
+        "gbt-params-accept-negative-depth", "featnet/pipeline.py", 48,
         "if self.max_depth < 0:", "if False:",
         (
             "tests/test_api.py::test_replace_runs_the_constructor_checks",
@@ -107,11 +107,24 @@ MUTANTS = (
     ),
     # an empty --out is taken as no --out
     Mutant(
-        "empty-out-accepted", "featnet/pipeline.py", 84,
+        "empty-out-accepted", "featnet/pipeline.py", 83,
         'if self.out_dir == "":', "if False:",
         (
             "tests/test_cli.py::test_degenerate_settings_are_data_errors",
             "tests/test_cli.py::test_every_option_given_an_empty_string_fails_cleanly",
         ),
+    ),
+    # a degree that no node has adds a point to the fit
+    Mutant(
+        "gamma-keeps-zero-counts", "featnet/graph.py", 193,
+        "if count > 0", "if count >= 0",
+        ("tests/test_graph.py::test_gamma_skips_degrees_no_node_has",),
+    ),
+    # the eval report's delta is PCA mean minus hub mean
+    Mutant(
+        "eval-delta-reversed", "featnet/pipeline.py", 308,
+        'report["hub"]["mean_accuracy"] - report["pca"]["mean_accuracy"]',
+        'report["pca"]["mean_accuracy"] - report["hub"]["mean_accuracy"]',
+        ("tests/test_pipeline.py::test_run_eval_on_synthetic",),
     ),
 )

@@ -151,21 +151,22 @@ def test_criterion_3_accuracy_comparison():
         eval_seed=42,
         eval_n_seeds=5,
     )
-    comparison = run_eval(cfg)
+    report = run_eval(cfg)
     elapsed = time.perf_counter() - start
 
-    features = list(comparison.hub_reports[0].subset.names)
+    features = report["hub"]["reports"][0]["subset"]["features"]
     assert sorted(features) == sorted(REPORTED_FIVE_FEATURES)
 
+    hub_mean, pca_mean = report["hub"]["mean_accuracy"], report["pca"]["mean_accuracy"]
     assert elapsed < 120.0, f"eval took {elapsed:.1f}s, budget is 120s"
-    assert comparison.hub_mean >= 0.89
-    assert comparison.hub_mean > comparison.pca_mean
-    assert abs(comparison.hub_mean - 0.917) <= 0.02
-    assert abs(comparison.pca_mean - 0.899) <= 0.02
+    assert hub_mean >= 0.89
+    assert hub_mean > pca_mean
+    assert abs(hub_mean - 0.917) <= 0.02
+    assert abs(pca_mean - 0.899) <= 0.02
     print(
         "ACCEPTANCE 3 accuracy comparison: PASS "
-        f"(hub {comparison.hub_mean:.4f} vs pca {comparison.pca_mean:.4f}, "
-        f"delta {comparison.delta:+.4f}, runtime {elapsed:.1f}s)"
+        f"(hub {hub_mean:.4f} vs pca {pca_mean:.4f}, "
+        f"delta {report['delta']:+.4f}, runtime {elapsed:.1f}s)"
     )
 
 

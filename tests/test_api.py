@@ -13,7 +13,6 @@ from .conftest import REFERENCE_ARFF
 PUBLIC_API = [
     "CommunityPartition",
     "CorrelationMatrix",
-    "EvalComparison",
     "EvalReport",
     "FeatureSubsetSpec",
     "FeatureTable",
@@ -50,7 +49,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     # a change to the public API must show up as a change to this list
     assert featnet.__all__ == PUBLIC_API
-    assert len(PUBLIC_API) == 33
+    assert len(PUBLIC_API) == 32
 
 
 def test_public_names_resolve():
@@ -80,9 +79,6 @@ RECORDS = {
     ),
     "RunManifest": ("schema_version", "tool_version", "config", "partitions", "errors"),
     "PartitionArtifacts": ("outcome", "tree", "communities", "hubs"),
-    "EvalComparison": (
-        "hub_reports", "pca_reports", "hub_mean", "pca_mean", "hub_std", "pca_std", "delta",
-    ),
     "FeatureSubsetSpec": ("mode", "names", "k"),
     "EvalReport": (
         "accuracy", "subset", "train_fraction", "seed", "classifier_params", "n_train",
@@ -98,13 +94,13 @@ def records(reference_table):
         gbt=featnet.GBTParams(n_rounds=2),
     )
     arts = analyze_partition(reference_table, cfg, "all")
-    comparison = featnet.run_eval(cfg)
-    report = comparison.hub_reports[0]
+    subset = featnet.FeatureSubsetSpec.named(featnet.select_connected_hubs(arts.tree))
+    report = featnet.evaluate(reference_table, subset, params=cfg.gbt)
     found = (
         reference_table, featnet.spearman_matrix(reference_table), arts.tree,
         featnet.estimate_gamma(featnet.degree_distribution(arts.tree)), arts.communities,
         cfg.gbt, cfg, arts.outcome, featnet.run_pipeline(cfg), arts,
-        comparison, report.subset, report,
+        report.subset, report,
     )
     return dict(zip(RECORDS, found))
 

@@ -539,8 +539,10 @@ def test_predict_proba_rejects_non_finite_features(bad):
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0, 0.0])
 def test_rejects_learning_rate_that_is_not_positive_and_finite(rate):
     # nan and inf fitted constant predictions, and -1 climbed the loss
-    with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+    message = f"learning_rate (--learning-rate) must be positive and finite, got {rate}"
+    with pytest.raises(ValueError) as refused:
         GBTParams(learning_rate=rate)
+    assert str(refused.value) == message
 
 
 def test_rejects_learning_rate_whose_margins_overflow():

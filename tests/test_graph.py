@@ -458,6 +458,14 @@ def test_gamma_mle_formula():
     assert est.r_squared is None
 
 
+@pytest.mark.parametrize("method", ["loglog_ols", "mle"])
+def test_gamma_skips_degrees_no_node_has(method):
+    # degree_distribution lists only observed degrees, but a caller's list may hold a count of 0
+    dist = degree_distribution(star_tree("hub", ["a", "b", "c", "d"]))
+    padded = sorted([*dist, (2, 0, 0.0), (3, 0, 0.0)])
+    assert estimate_gamma(padded, method=method) == estimate_gamma(dist, method=method)
+
+
 def test_float_sums_add_left_to_right_on_every_python():
     # the builtin sum compensates from Python 3.12 on, which would move
     # total_weight and the mle gamma in the manifest with the interpreter

@@ -292,14 +292,14 @@ def test_run_eval_on_synthetic(tmp_path):
         eval_n_seeds=2,
         gbt=GBTParams(n_rounds=10),
     )
-    comparison = run_eval(cfg)
-    assert len(comparison.hub_reports) == 2
-    assert len(comparison.pca_reports) == 2
-    assert comparison.delta == pytest.approx(
-        comparison.hub_mean - comparison.pca_mean, abs=1e-12
-    )
-    payload = json.loads(json.dumps(comparison.to_dict()))
-    assert payload["hub"]["reports"][0]["subset"]["features"] == ["feat0", "feat1"]
+    report = run_eval(cfg)
+    assert list(report) == ["hub", "pca", "delta"]
+    assert len(report["hub"]["reports"]) == 2
+    assert len(report["pca"]["reports"]) == 2
+    assert report["delta"] == report["hub"]["mean_accuracy"] - report["pca"]["mean_accuracy"]
+    assert report["delta"] != 0.0
+    assert json.loads(json.dumps(report)) == report
+    assert report["hub"]["reports"][0]["subset"]["features"] == ["feat0", "feat1"]
 
 
 def test_run_eval_checks_pca_components_before_any_fit(tmp_path, monkeypatch):
