@@ -18,7 +18,6 @@ from .dataset import (
     partition,
 )
 from .graph import (
-    GammaEstimate,
     SpanningTree,
     WeightedGraph,
     build_graph,
@@ -56,7 +55,6 @@ __all__ = [
     "FeatureSubsetSpec",
     "FeatureTable",
     "GBTParams",
-    "GammaEstimate",
     "GradientBoostedTrees",
     "Partition",
     "PipelineConfig",

@@ -124,21 +124,21 @@ def _write_report(payload: dict, path: str | None) -> None:
 def _cmd_analyze(cfg: PipelineConfig, args) -> int:
     manifest = run_pipeline(cfg)
     for outcome in manifest.partitions:
-        print(f"[{outcome.partition}] {outcome.n_rows} rows")
+        print(f"[{outcome['partition']}] {outcome['n_rows']} rows")
         print(f"  hubs (degree > {cfg.hub_threshold}):")
-        for hub in outcome.hubs:
+        for hub in outcome["hubs"]:
             print(
                 f"    {hub['feature']:32s} degree {hub['degree']}  community {hub['community']}"
             )
-        for method, est in outcome.gamma.items():
+        for method, est in outcome["gamma"].items():
             if "gamma" in est:
                 print(f"  gamma[{method}] = {est['gamma']:.4f}")
             else:
                 print(f"  gamma[{method}]: {est['error']}")
         # + 0.0 turns a rounded -0.0 (one community, Q about -1e-16) into 0.0
         print(
-            f"  communities: {outcome.communities['count']}  "
-            f"modularity {round(outcome.communities['modularity'], 4) + 0.0:.4f}"
+            f"  communities: {outcome['communities']['count']}  "
+            f"modularity {round(outcome['communities']['modularity'], 4) + 0.0:.4f}"
         )
     for name, message in manifest.errors.items():
         print(f"[{name}] FAILED: {message}", file=sys.stderr)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import _write_csv
-from .errors import FeatnetError, UncoveredNode
+from .errors import FeatnetError
 from .graph import WeightedGraph, _sum_in_order
 
 DEFAULT_MIN_GAIN = 1e-9
@@ -53,7 +53,7 @@ def modularity(g: WeightedGraph, assignment: np.ndarray) -> float:
     """
     comm = np.asarray(assignment)
     if comm.shape != (g.n_nodes,):
-        raise UncoveredNode(f"community ids of shape {comm.shape} for {g.n_nodes} nodes")
+        raise FeatnetError(f"community ids of shape {comm.shape} for {g.n_nodes} nodes")
     # bincount adds each node's incident edges in edge order
     ends = np.column_stack((g.src, g.dst)).ravel()
     strength = np.bincount(ends, weights=np.repeat(g.weight, 2), minlength=g.n_nodes)
@@ -63,13 +63,9 @@ def modularity(g: WeightedGraph, assignment: np.ndarray) -> float:
     _check_total_weight(two_m)
     # each undirected edge appears twice in the ij sum
     edge_terms = 2.0 * g.weight[comm[g.src] == comm[g.dst]]
-    # node i's pair terms run over the members of its community in node order
-    _, dense, size = np.unique(comm, return_inverse=True, return_counts=True)
-    members, count = np.argsort(dense, kind="stable"), size[dense]
-    offset = (np.cumsum(size) - size)[dense] - (np.cumsum(count) - count)
-    row = np.repeat(np.arange(g.n_nodes), count)
-    col = members[np.arange(len(row)) + np.repeat(offset, count)]
-    pair_terms = strength[row] * strength[col] / two_m
+    # node i's pair terms run over the members of its community in node order:
+    # boolean indexing takes the masked products row by row
+    pair_terms = (np.outer(strength, strength) / two_m)[comm[:, None] == comm]
     return _sum_in_order(np.concatenate((edge_terms, -pair_terms))) / two_m
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import FeatureTable, _write_csv
-from .errors import TooFewRows
+from .errors import FeatnetError
 
 CORRELATION_MODES = ("tie_aware", "literal_formula")
 
@@ -47,7 +47,7 @@ def rank_transform(values) -> np.ndarray:
     """
     x = np.asarray(values)
     if x.size == 0:
-        raise TooFewRows("cannot rank an empty column")
+        raise FeatnetError("cannot rank an empty column")
     cols = x.reshape(len(x), -1)
     n, k = cols.shape
     lo, hi = (int(cols.min()), int(cols.max())) if x.dtype.kind in "iu" else (0, n)  # non-integers recode
@@ -78,7 +78,7 @@ def spearman_matrix(table: FeatureTable, mode: str = "tie_aware") -> Correlation
     n = table.n_rows
     k = table.n_features
     if n < 2:
-        raise TooFewRows(f"need at least 2 rows to correlate, got {n}")
+        raise FeatnetError(f"need at least 2 rows to correlate, got {n}")
     if k < 2:
         raise ValueError(f"need at least 2 features to correlate, got {k}")
 

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyPartition, ParseError, SchemaError
+from .errors import DomainError, FeatnetError, ParseError
 
 FEATURE_VALUES = (-1, 0, 1)
 LABEL_VALUES = (-1, 1)
@@ -69,16 +69,16 @@ class FeatureTable(_Checked, _FeatureTableFields):
         labels = np.asarray(labels, dtype=np.int64)
 
         if not names:
-            raise SchemaError("table has no feature columns")
+            raise FeatnetError("table has no feature columns")
         if any(not str(n).strip() for n in names):
-            raise SchemaError("empty feature name")
+            raise FeatnetError("empty feature name")
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if list(names).count(n) > 1})
-            raise SchemaError(f"duplicate feature names: {dupes}")
+            raise FeatnetError(f"duplicate feature names: {dupes}")
         if rows.ndim != 2 or rows.shape[1] != len(names):
-            raise SchemaError(f"row matrix has shape {rows.shape}, expected (n, {len(names)})")
+            raise FeatnetError(f"row matrix has shape {rows.shape}, expected (n, {len(names)})")
         if labels.shape != (rows.shape[0],):
-            raise SchemaError(f"{labels.shape[0]} labels for {rows.shape[0]} rows")
+            raise FeatnetError(f"{labels.shape[0]} labels for {rows.shape[0]} rows")
 
         # one exact pass each: as uint64, x + 1 is at most 2 for exactly the FEATURE_VALUES
         # (INT64_MIN and INT64_MAX wrap above it) and 0 or 2 for exactly the LABEL_VALUES
@@ -171,7 +171,7 @@ def partition(table: FeatureTable, sel: Partition) -> FeatureTable:
     want = LABEL_LEGITIMATE if sel is Partition.LEGITIMATE else LABEL_PHISHING
     mask = table.labels == want
     if not mask.any():
-        raise EmptyPartition(f"partition {sel.value!r} selects zero rows")
+        raise FeatnetError(f"partition {sel.value!r} selects zero rows")
     return FeatureTable(table.feature_names, table.rows[mask], table.labels[mask])
 
 
@@ -224,7 +224,7 @@ def _line_table(fmt: str, names: list[str], cells: list) -> FeatureTable:
     if not cells:
         raise ParseError("no data rows found", line=1)
     if len(names) < 2:
-        raise SchemaError("need at least one feature column plus the label column")
+        raise FeatnetError("need at least one feature column plus the label column")
     for line_no, values in cells:
         if len(values) != len(names):
             raise ParseError(f"expected {len(names)} values, got {len(values)}", line=line_no)

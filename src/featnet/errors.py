@@ -31,29 +31,5 @@ class DomainError(FeatnetError):
         super().__init__(message)
 
 
-class SchemaError(FeatnetError):
-    """Feature names are duplicated, empty, or otherwise unusable."""
-
-
-class EmptyPartition(FeatnetError):
-    """A row selection produced zero rows."""
-
-
-class TooFewRows(FeatnetError):
-    """Not enough rows for the requested statistic."""
-
-
-class UncoveredNode(FeatnetError):
-    """A partition does not cover every graph node."""
-
-
 class DegenerateDistribution(FeatnetError):
     """A degree distribution has too few distinct degrees to fit."""
-
-
-class DegenerateLabels(FeatnetError):
-    """Training labels contain a single class."""
-
-
-class RankDeficient(FeatnetError):
-    """The covariance matrix has fewer nonzero eigenvalues than requested."""

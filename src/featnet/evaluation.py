@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dataset import FeatureTable, LABEL_LEGITIMATE
-from .errors import DegenerateLabels, RankDeficient
+from .errors import FeatnetError
 from .pipeline import GBTParams
 
 EPS = 1e-12
@@ -75,7 +75,7 @@ class GradientBoostedTrees:
         if not np.isin(classes, (0.0, 1.0)).all():
             raise ValueError("labels must be 0/1")
         if len(classes) < 2:
-            raise DegenerateLabels("training labels contain a single class")
+            raise FeatnetError("training labels contain a single class")
 
         self._fit_bins(X, counts)
         # the histogram layout is fixed for the fit: feature j's bins are keys j*width + bin,
@@ -380,7 +380,7 @@ class PowerIterationPCA:
         vectors = eigenvectors[:, ::-1][:, : self.n_components]
         nonzero = int((values > 1e-10 * max(1.0, values[0])).sum())
         if nonzero < self.n_components:
-            raise RankDeficient(
+            raise FeatnetError(
                 f"only {nonzero} nonzero eigenvalues, "
                 f"{self.n_components} components requested"
             )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .correlation import CorrelationMatrix
 from .dataset import _write_csv, _write_text
-from .errors import DegenerateDistribution, UncoveredNode
+from .errors import DegenerateDistribution, FeatnetError
 
 GAMMA_METHODS = ("loglog_ols", "mle")
 
@@ -172,21 +172,17 @@ def degree_distribution(tree: SpanningTree) -> list[tuple[int, int, float]]:
     return [(int(k), int(c), int(c) / n) for k, c in zip(ks, counts)]
 
 
-class GammaEstimate(NamedTuple):  # fields in the order of the manifest's keys
-    gamma: float
-    r_squared: float | None  # None for mle
-    points_used: tuple[tuple[int, float], ...]
-
-
 def estimate_gamma(
     dist: list[tuple[int, int, float]], method: str = "loglog_ols"
-) -> GammaEstimate:
+) -> dict:
     """Fit the power-law exponent of a degree distribution P(k) ~ k**(-gamma).
 
     loglog_ols regresses log P(k) on log k over the observed points and
     negates the slope.  mle uses the continuous maximum-likelihood
     approximation gamma = 1 + m / sum(ln(k_i / (k_min - 0.5))) with
-    k_min = 1, summed over all m node degrees.
+    k_min = 1, summed over all m node degrees.  Returns the manifest's
+    gamma entry: ``gamma``, ``r_squared`` (None for mle) and
+    ``points_used``, the observed (k, P(k)) pairs.
     """
     if method not in GAMMA_METHODS:
         raise ValueError(f"method must be one of {GAMMA_METHODS}, got {method!r}")
@@ -205,11 +201,11 @@ def estimate_gamma(
         residual = y - (intercept + slope * x)
         ss_tot = float(np.dot(yc, yc))
         r_squared = 1.0 - float(np.dot(residual, residual)) / ss_tot if ss_tot > 0 else 1.0
-        return GammaEstimate(gamma=-slope, r_squared=r_squared, points_used=tuple(points))
+        return {"gamma": -slope, "r_squared": r_squared, "points_used": tuple(points)}
     # mle: k_min = 1, continuous approximation over per-node degrees
     m = sum(count for _, count, _ in dist)
     log_sum = _sum_in_order([count * math.log(k / 0.5) for k, count, _ in dist if count > 0])
-    return GammaEstimate(gamma=1.0 + m / log_sum, r_squared=None, points_used=tuple(points))
+    return {"gamma": 1.0 + m / log_sum, "r_squared": None, "points_used": tuple(points)}
 
 
 def write_degree_distribution_csv(
@@ -221,7 +217,7 @@ def write_degree_distribution_csv(
 def _node_labels(ids: list[str], communities: np.ndarray, hubs: np.ndarray):
     """(node ID, community id, is hub) of each node, in node order."""
     if len(communities) != len(ids):
-        raise UncoveredNode(f"{len(communities)} community ids for {len(ids)} nodes")
+        raise FeatnetError(f"{len(communities)} community ids for {len(ids)} nodes")
     is_hub = np.isin(np.arange(len(ids)), hubs)
     return zip(ids, communities.tolist(), is_hub.tolist())
 

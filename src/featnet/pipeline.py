@@ -97,34 +97,21 @@ class PipelineConfig(_Checked, _PipelineConfigFields):
         return self
 
 
-class PartitionOutcome(NamedTuple):
-    """Everything computed for one data partition; its ``_asdict()`` is JSON-ready."""
-
-    partition: str
-    n_rows: int
-    class_counts: dict
-    warnings: list
-    tree: dict
-    hubs: list
-    communities: dict
-    gamma: dict
-    degree_distribution: list
-
-
 class RunManifest(NamedTuple):
     schema_version: int
     tool_version: str
     config: dict
-    partitions: list[PartitionOutcome]
+    # each partition's manifest entry, as analyze_partition builds it
+    partitions: list[dict]
     errors: dict
 
     def to_json(self) -> str:
         # shallow, as every field already holds JSON-ready values
-        return _json_text({**self._asdict(), "partitions": [p._asdict() for p in self.partitions]})
+        return _json_text(self._asdict())
 
 
 class PartitionArtifacts(NamedTuple):
-    outcome: PartitionOutcome
+    outcome: dict
     tree: SpanningTree
     communities: CommunityPartition
     # node positions of the hubs, in find_hubs order
@@ -155,34 +142,34 @@ def analyze_partition(
     gamma: dict = {}
     for method in graph.GAMMA_METHODS:
         try:
-            gamma[method] = graph.estimate_gamma(dist, method=method)._asdict()
+            gamma[method] = graph.estimate_gamma(dist, method=method)
         except DegenerateDistribution as exc:
             gamma[method] = {"error": str(exc)}
 
-    outcome = PartitionOutcome(
-        partition=name,
-        n_rows=part.n_rows,
-        class_counts=dict(zip(map(str, labels.tolist()), counts.tolist())),
-        warnings=[list(w) for w in corr.warnings],
-        tree={
+    outcome = {
+        "partition": name,
+        "n_rows": part.n_rows,
+        "class_counts": dict(zip(map(str, labels.tolist()), counts.tolist())),
+        "warnings": [list(w) for w in corr.warnings],
+        "tree": {
             "n_nodes": len(tree.nodes),
             "n_edges": len(tree.weight),
             "total_weight": tree.total_weight,
             "provably_unique": tree.provably_unique,
         },
-        hubs=[
+        "hubs": [
             {"feature": g.nodes[i], "degree": degree[i], "community": community[i]}
             for i in hubs.tolist()
         ],
-        communities={
+        "communities": {
             "count": communities.n_communities,
             "modularity": communities.modularity,
             "levels": communities.levels,
             "assignment": dict(zip(g.nodes, community)),
         },
-        gamma=gamma,
-        degree_distribution=[[k, c, pk] for k, c, pk in dist],
-    )
+        "gamma": gamma,
+        "degree_distribution": [[k, c, pk] for k, c, pk in dist],
+    }
     return PartitionArtifacts(
         outcome=outcome, tree=tree, communities=communities, hubs=hubs
     )
@@ -196,7 +183,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     run did not write are removed, so the directory matches the manifest.
     """
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
-    outcomes: list[PartitionOutcome] = []
+    outcomes: list[dict] = []
     errors: dict[str, str] = {}
     out_root = Path(cfg.out_dir) if cfg.out_dir else None
 
@@ -213,13 +200,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             hubs_csv, communities_csv, dot, graphml, dist_csv = (
                 part_dir / f for f in ANALYZE_FILES
             )
-            write_hubs_csv(arts.outcome.hubs, hubs_csv)
+            write_hubs_csv(arts.outcome["hubs"], hubs_csv)
             write_communities_csv(arts.communities, communities_csv)
             write_dot(arts.tree, dot, communities=arts.communities.assignment, hubs=arts.hubs)
             write_graphml(
                 arts.tree, graphml, communities=arts.communities.assignment, hubs=arts.hubs
             )
-            write_degree_distribution_csv(arts.outcome.degree_distribution, dist_csv)
+            write_degree_distribution_csv(arts.outcome["degree_distribution"], dist_csv)
 
     manifest = RunManifest(
         schema_version=SCHEMA_VERSION,
@@ -229,7 +216,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
         errors=errors,
     )
     if out_root is not None:
-        written = {o.partition for o in outcomes}
+        written = {o["partition"] for o in outcomes}
         for name in PARTITION_ORDER:
             part_dir = out_root / name
             if name in written or not part_dir.is_dir():
@@ -325,32 +312,31 @@ def stability_check(
         raise ValueError(f"seed (--seed) must be non-negative, got {seed}")
     table = load_dataset(cfg.input_path, fmt=cfg.fmt)
 
-    full_hubs: dict[str, set[str]] = {}
-    for name in cfg.partitions:
-        arts = analyze_partition(table, cfg, name)
-        full_hubs[name] = {h["feature"] for h in arts.outcome.hubs}
-
-    report: dict = {"n_subsamples": n_subsamples, "fraction": fraction, "partitions": {}}
     rng = np.random.default_rng(seed)
     sample_size = max(1, int(round(fraction * table.n_rows)))
-    run_hubs: dict[str, list[set[str]]] = {name: [] for name in cfg.partitions}
-    for _ in range(n_subsamples):
-        rows = np.sort(rng.choice(table.n_rows, size=sample_size, replace=False))
-        sub = FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])
+    # per partition, the full table's hub set and then each subsample's
+    hub_sets: dict[str, list[set[str]]] = {name: [] for name in cfg.partitions}
+    sub = table
+    for i in range(n_subsamples + 1):
+        if i:
+            rows = np.sort(rng.choice(table.n_rows, size=sample_size, replace=False))
+            sub = FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])
         for name in cfg.partitions:
             arts = analyze_partition(sub, cfg, name)
-            run_hubs[name].append({h["feature"] for h in arts.outcome.hubs})
+            hub_sets[name].append({h["feature"] for h in arts.outcome["hubs"]})
 
+    report: dict = {"n_subsamples": n_subsamples, "fraction": fraction, "partitions": {}}
     for name in cfg.partitions:
-        versus_full = [_jaccard(h, full_hubs[name]) for h in run_hubs[name]]
+        full_hubs, *run_hubs = hub_sets[name]
+        versus_full = [_jaccard(h, full_hubs) for h in run_hubs]
         pairwise = [
             _jaccard(a, b)
-            for i, a in enumerate(run_hubs[name])
-            for b in run_hubs[name][i + 1 :]
+            for i, a in enumerate(run_hubs)
+            for b in run_hubs[i + 1 :]
         ]
         report["partitions"][name] = {
-            "full_hubs": sorted(full_hubs[name]),
-            "subsample_hubs": [sorted(h) for h in run_hubs[name]],
+            "full_hubs": sorted(full_hubs),
+            "subsample_hubs": [sorted(h) for h in run_hubs],
             "jaccard_vs_full": versus_full,
             "mean_jaccard_vs_full": float(np.mean(versus_full)),
             "mean_pairwise_jaccard": float(np.mean(pairwise)) if pairwise else 1.0,

@@ -24,25 +24,25 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # _settle returns a node that its visit does not move
     Mutant(
-        "settle-mover-includes-zero-gain", "featnet/community.py", 236,
+        "settle-mover-includes-zero-gain", "featnet/community.py", 232,
         "row[gain > DEFAULT_MIN_GAIN]", "row[gain >= 0.0]",
         ("tests/test_community.py::test_local_moves_equal_split_oracle",),
     ),
     # _settle misses a mover
     Mutant(
-        "settle-mover-needs-large-gain", "featnet/community.py", 236,
+        "settle-mover-needs-large-gain", "featnet/community.py", 232,
         "row[gain > DEFAULT_MIN_GAIN]", "row[gain > 1e-3]",
         ("tests/test_community.py::test_local_moves_equal_split_oracle",),
     ),
     # a sweep runs on past a stay that rounds its own community's total
     Mutant(
-        "settle-no-sweep-end", "featnet/community.py", 224,
+        "settle-no-sweep-end", "featnet/community.py", 220,
         "if len(drift):", "if False:",
         ("tests/test_community.py::test_settle_equals_node_by_node_visits",),
     ),
     # a sweep in which no node moves leaves the rounded total unwritten
     Mutant(
-        "settle-no-write-back", "featnet/community.py", 239,
+        "settle-no-write-back", "featnet/community.py", 235,
         "comm_total[ids[own[-1]]] = during[-1] + s[-1]", "pass",
         ("tests/test_community.py::test_settle_equals_node_by_node_visits",),
     ),
@@ -55,10 +55,17 @@ MUTANTS = (
     ),
     # a stability subsample skips the constructor
     Mutant(
-        "subsample-skips-constructor", "featnet/pipeline.py", 339,
+        "subsample-skips-constructor", "featnet/pipeline.py", 323,
         "FeatureTable(table.feature_names, table.rows[rows], table.labels[rows])",
         "FeatureTable._make((table.feature_names, table.rows[rows], table.labels[rows]))",
         ("tests/test_pipeline.py::test_stability_subsamples_are_checked_tables",),
+    ),
+    # stability compares the subsamples with the first subsample's hubs, not the full table's
+    Mutant(
+        "stability-full-hubs-from-subsample", "featnet/pipeline.py", 330,
+        "full_hubs, *run_hubs = hub_sets[name]",
+        "full_hubs, run_hubs = hub_sets[name][1], hub_sets[name][1:]",
+        ("tests/test_pipeline.py::test_stability_compares_subsamples_with_the_analyze_hubs",),
     ),
     # every file, JSON ones too, is written in place: a failed write leaves a partial file
     Mutant(
@@ -116,13 +123,13 @@ MUTANTS = (
     ),
     # a degree that no node has adds a point to the fit
     Mutant(
-        "gamma-keeps-zero-counts", "featnet/graph.py", 193,
+        "gamma-keeps-zero-counts", "featnet/graph.py", 189,
         "if count > 0", "if count >= 0",
         ("tests/test_graph.py::test_gamma_skips_degrees_no_node_has",),
     ),
     # the eval report's delta is PCA mean minus hub mean
     Mutant(
-        "eval-delta-reversed", "featnet/pipeline.py", 308,
+        "eval-delta-reversed", "featnet/pipeline.py", 295,
         'report["hub"]["mean_accuracy"] - report["pca"]["mean_accuracy"]',
         'report["pca"]["mean_accuracy"] - report["hub"]["mean_accuracy"]',
         ("tests/test_pipeline.py::test_run_eval_on_synthetic",),

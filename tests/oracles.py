@@ -574,7 +574,7 @@ def local_moves_split(n, src, dst, weight, min_gain=1e-9):
 def load_lines(text, fmt):
     """The line-by-line CSV / ARFF loader: int() on every cell, one list per row."""
     from featnet.dataset import FeatureTable
-    from featnet.errors import ParseError, SchemaError
+    from featnet.errors import FeatnetError, ParseError
 
     def to_int(token, line_no):
         token = token.strip()
@@ -638,7 +638,7 @@ def load_lines(text, fmt):
 
     names, cells = parse_csv(text) if fmt == "csv" else parse_arff(text)
     if len(names) < 2:
-        raise SchemaError("need at least one feature column plus the label column")
+        raise FeatnetError("need at least one feature column plus the label column")
     n_cols = len(names)
     rows, labels = [], []
     for line_no, values in cells:

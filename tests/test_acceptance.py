@@ -86,8 +86,8 @@ def reference_manifest(tmp_path_factory):
 
 
 def hub_map(manifest, name):
-    outcome = {p.partition: p for p in manifest.partitions}[name]
-    return {h["feature"]: h["degree"] for h in outcome.hubs}
+    outcome = {p["partition"]: p for p in manifest.partitions}[name]
+    return {h["feature"]: h["degree"] for h in outcome["hubs"]}
 
 
 def test_criterion_1_hub_tables(reference_manifest):
@@ -134,7 +134,7 @@ def test_criterion_1_hub_tables(reference_manifest):
 
 def test_criterion_2_gamma_ordering(reference_manifest):
     manifest, _ = reference_manifest
-    gammas = {p.partition: p.gamma["loglog_ols"]["gamma"] for p in manifest.partitions}
+    gammas = {p["partition"]: p["gamma"]["loglog_ols"]["gamma"] for p in manifest.partitions}
     assert gammas["legitimate"] > gammas["all"]
     assert gammas["legitimate"] > gammas["phishing"]
     print(
@@ -269,11 +269,11 @@ def test_criterion_7_structural_invariants(reference_manifest, tmp_path):
     manifest, _ = reference_manifest
 
     # trees: edge count and degree-sum on every produced tree
-    assert [p.partition for p in manifest.partitions] == ["all", "legitimate", "phishing"]
+    assert [p["partition"] for p in manifest.partitions] == ["all", "legitimate", "phishing"]
     for outcome in manifest.partitions:
-        assert outcome.tree["n_edges"] == outcome.tree["n_nodes"] - 1
-        degree_total = sum(k * c for k, c, _ in outcome.degree_distribution)
-        assert degree_total == 2 * outcome.tree["n_edges"]
+        assert outcome["tree"]["n_edges"] == outcome["tree"]["n_nodes"] - 1
+        degree_total = sum(k * c for k, c, _ in outcome["degree_distribution"])
+        assert degree_total == 2 * outcome["tree"]["n_edges"]
 
     # matrices: symmetry and domain bounds on all three partitions
     from featnet import Partition, load_dataset, partition as take

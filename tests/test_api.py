@@ -17,7 +17,6 @@ PUBLIC_API = [
     "FeatureSubsetSpec",
     "FeatureTable",
     "GBTParams",
-    "GammaEstimate",
     "GradientBoostedTrees",
     "Partition",
     "PipelineConfig",
@@ -49,7 +48,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     # a change to the public API must show up as a change to this list
     assert featnet.__all__ == PUBLIC_API
-    assert len(PUBLIC_API) == 32
+    assert len(PUBLIC_API) == 31
 
 
 def test_public_names_resolve():
@@ -63,7 +62,6 @@ RECORDS = {
     "FeatureTable": ("feature_names", "rows", "labels"),
     "CorrelationMatrix": ("feature_names", "values", "warnings"),
     "SpanningTree": ("nodes", "src", "dst", "weight", "provably_unique"),
-    "GammaEstimate": ("gamma", "r_squared", "points_used"),
     "CommunityPartition": ("nodes", "assignment", "modularity", "levels"),
     "GBTParams": (
         "n_rounds", "learning_rate", "max_depth", "reg_lambda", "min_child_weight", "n_bins",
@@ -72,10 +70,6 @@ RECORDS = {
         "input_path", "fmt", "partitions", "correlation_mode", "hub_threshold", "out_dir",
         "eval_features", "eval_pca_components", "train_fraction", "eval_seed", "eval_n_seeds",
         "gbt",
-    ),
-    "PartitionOutcome": (
-        "partition", "n_rows", "class_counts", "warnings", "tree", "hubs", "communities",
-        "gamma", "degree_distribution",
     ),
     "RunManifest": ("schema_version", "tool_version", "config", "partitions", "errors"),
     "PartitionArtifacts": ("outcome", "tree", "communities", "hubs"),
@@ -97,9 +91,8 @@ def records(reference_table):
     subset = featnet.FeatureSubsetSpec.named(featnet.select_connected_hubs(arts.tree))
     report = featnet.evaluate(reference_table, subset, params=cfg.gbt)
     found = (
-        reference_table, featnet.spearman_matrix(reference_table), arts.tree,
-        featnet.estimate_gamma(featnet.degree_distribution(arts.tree)), arts.communities,
-        cfg.gbt, cfg, arts.outcome, featnet.run_pipeline(cfg), arts,
+        reference_table, featnet.spearman_matrix(reference_table), arts.tree, arts.communities,
+        cfg.gbt, cfg, featnet.run_pipeline(cfg), arts,
         report.subset, report,
     )
     return dict(zip(RECORDS, found))
@@ -159,7 +152,11 @@ def test_json_forms_write_nested_records_as_objects(records):
     manifest = json.loads(records["RunManifest"].to_json())
     assert manifest["config"]["gbt"] == cfg.gbt._asdict()
     assert manifest["config"]["partitions"] == ["all"]
+    # a partition entry and its gamma entries are dicts, their keys in the order written
     outcome = manifest["partitions"][0]
-    assert list(outcome) == list(records["PartitionOutcome"]._fields)
-    assert list(outcome["gamma"]["loglog_ols"]) == list(records["GammaEstimate"]._fields)
+    assert list(outcome) == [
+        "partition", "n_rows", "class_counts", "warnings", "tree", "hubs", "communities",
+        "gamma", "degree_distribution",
+    ]
+    assert list(outcome["gamma"]["loglog_ols"]) == ["gamma", "r_squared", "points_used"]
     assert records["EvalReport"].to_dict()["params"] == cfg.gbt._asdict()

@@ -66,7 +66,7 @@ def test_only_eval_imports_the_evaluation_module(tmp_path):
     assert checks == [
         "check [False, False, False, False]",
         "check GradientBoostedTrees evaluate",
-        "check [] 32",
+        "check [] 31",
     ]
 
 
@@ -461,6 +461,18 @@ def test_eval_rejects_fewer_than_one_seed(tmp_path, capsys, n_seeds):
         (["eval", "--learning-rate", "inf"], "--learning-rate"),
         (["eval", "--learning-rate", "0"], "--learning-rate"),
         (["eval", "--learning-rate", "-1"], "--learning-rate"),
+        # a split needs a training and a test share of each class
+        *[
+            (["eval", "--features", "feat0,feat1", "--pca-components", "2",
+              "--train-fraction", value], "--train-fraction")
+            for value in ("nan", "inf", "0", "-1", "1")
+        ],
+        *[(["stability", "--fraction", value], "--fraction") for value in ("nan", "inf", "-1")],
+        *[
+            (["eval", "--features", "feat0,feat1", "--pca-components", value], "--pca-components")
+            for value in ("-1", "99999999999999999999")
+        ],
+        (["eval", "--hub-threshold", "99999999999999999999"], "--hub-threshold"),
     ],
 )
 def test_degenerate_settings_are_data_errors(tmp_path, capsys, monkeypatch, argv, option):
@@ -471,6 +483,7 @@ def test_degenerate_settings_are_data_errors(tmp_path, capsys, monkeypatch, argv
     assert main([argv[0], "--input", str(data), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "export", "stability"])

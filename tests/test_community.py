@@ -9,8 +9,9 @@ from featnet import (
 from featnet import community
 from featnet.correlation import CORRELATION_MODES
 from featnet.community import _local_moves
-from featnet.errors import FeatnetError, UncoveredNode
+from featnet.errors import FeatnetError
 
+from .conftest import raises_featnet_error
 from .oracles import (
     best_partition_exhaustive, local_moves_split, modularity_masks, modularity_matrix_form,
     named_edges,
@@ -94,7 +95,7 @@ def test_modularity_equals_mask_formula(drawn):
 
 def test_uncovered_node():
     g = WeightedGraph(["x", "y"], [("x", "y", 1.0)])
-    with pytest.raises(UncoveredNode):
+    with raises_featnet_error("community ids of shape (1,) for 2 nodes"):
         modularity(g, np.array([0]))
 
 

@@ -56,7 +56,7 @@ def test_run_pipeline_outputs(tmp_path):
     cfg = PipelineConfig(input_path=str(data), out_dir=str(out))
     manifest = run_pipeline(cfg)
 
-    assert [p.partition for p in manifest.partitions] == [
+    assert [p["partition"] for p in manifest.partitions] == [
         "all",
         "legitimate",
         "phishing",
@@ -73,21 +73,21 @@ def test_run_pipeline_outputs(tmp_path):
             assert (out / name / filename).exists()
     assert (out / "manifest.json").exists()
 
-    outcome = {p.partition: p for p in manifest.partitions}["all"]
-    assert outcome.n_rows == 60
-    assert outcome.tree["n_edges"] == outcome.tree["n_nodes"] - 1
-    assert sum(c for _, c, _ in outcome.degree_distribution) == outcome.tree["n_nodes"]
+    outcome = {p["partition"]: p for p in manifest.partitions}["all"]
+    assert outcome["n_rows"] == 60
+    assert outcome["tree"]["n_edges"] == outcome["tree"]["n_nodes"] - 1
+    assert sum(c for _, c, _ in outcome["degree_distribution"]) == outcome["tree"]["n_nodes"]
 
 
 def test_two_feature_dataset_degenerate_gamma(tmp_path):
     data = synthetic_csv(tmp_path / "tiny.csv", n=30, k=2)
     cfg = PipelineConfig(input_path=str(data), partitions=("all",))
     [outcome] = run_pipeline(cfg).partitions
-    assert outcome.partition == "all"
-    assert outcome.tree["n_edges"] == 1  # the MST of 2 nodes is its one edge
-    assert outcome.hubs == []
-    assert "error" in outcome.gamma["loglog_ols"]
-    assert "error" in outcome.gamma["mle"]
+    assert outcome["partition"] == "all"
+    assert outcome["tree"]["n_edges"] == 1  # the MST of 2 nodes is its one edge
+    assert outcome["hubs"] == []
+    assert "error" in outcome["gamma"]["loglog_ols"]
+    assert "error" in outcome["gamma"]["mle"]
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -164,7 +164,7 @@ def test_rerun_removes_stale_partition_outputs(tmp_path):
     manifest = run_pipeline(
         PipelineConfig(input_path=str(data), partitions=("all",), out_dir=str(out))
     )
-    assert [p.partition for p in manifest.partitions] == ["all"]
+    assert [p["partition"] for p in manifest.partitions] == ["all"]
     # phishing held only analyze outputs; legitimate keeps export's matrices
     assert sorted(p.name for p in out.iterdir()) == [
         "all", "legitimate", "manifest.json", "notes.txt"
@@ -251,7 +251,7 @@ def test_partition_failure_is_isolated(tmp_path):
     data = synthetic_csv(tmp_path / "single.csv", single_class=True)
     cfg = PipelineConfig(input_path=str(data))
     manifest = run_pipeline(cfg)
-    assert [p.partition for p in manifest.partitions] == ["all", "legitimate"]
+    assert [p["partition"] for p in manifest.partitions] == ["all", "legitimate"]
     assert "phishing" in manifest.errors
     assert "zero rows" in manifest.errors["phishing"]
 
@@ -351,6 +351,18 @@ def test_stability_subsamples_are_checked_tables(tmp_path, monkeypatch):
     assert not any(t.rows.flags.writeable or t.labels.flags.writeable for t in seen)
 
 
+def test_stability_compares_subsamples_with_the_analyze_hubs():
+    # on the phishing partition the first subsample's hubs differ from the full table's
+    cfg = PipelineConfig(input_path=str(REFERENCE_ARFF))
+    report = stability_check(cfg, n_subsamples=2)
+    for outcome in run_pipeline(cfg).partitions:
+        entry = report["partitions"][outcome["partition"]]
+        assert entry["full_hubs"] == sorted(h["feature"] for h in outcome["hubs"])
+        full, (a, b) = set(entry["full_hubs"]), [set(h) for h in entry["subsample_hubs"]]
+        assert entry["jaccard_vs_full"] == [len(h & full) / len(h | full) for h in (a, b)]
+        assert entry["mean_pairwise_jaccard"] == len(a & b) / len(a | b)
+
+
 def test_stability_smoke_small_fraction(tmp_path):
     data = synthetic_csv(tmp_path / "data.csv", n=100, k=4, seed=6)
     cfg = PipelineConfig(input_path=str(data), partitions=("all",))
@@ -389,11 +401,11 @@ def test_export_requires_an_output_directory():
 def test_reference_manifest_smoke():
     cfg = PipelineConfig(input_path=str(REFERENCE_ARFF), partitions=("all",))
     [outcome] = run_pipeline(cfg).partitions
-    assert outcome.partition == "all"
-    assert outcome.n_rows == 11055
-    assert outcome.tree["n_nodes"] == 30
-    assert outcome.tree["n_edges"] == 29
-    assert len(outcome.hubs) == 8
+    assert outcome["partition"] == "all"
+    assert outcome["n_rows"] == 11055
+    assert outcome["tree"]["n_nodes"] == 30
+    assert outcome["tree"]["n_edges"] == 29
+    assert len(outcome["hubs"]) == 8
 
 
 def test_reference_hub_stability_soft():
